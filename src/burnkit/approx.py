@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log
 
-from .burning import Schedule, _strictify, simulate
+from .burning import Schedule, _run_rounds, simulate
 from .graph import Graph
 
 
@@ -185,6 +185,8 @@ def approx_schedule(g: Graph, k: int) -> ApproxResult:
     strict semantics.  Every vertex is within 2j hops of a member ignited
     by round j, so completion <= 3j; the simulation double-checks that.
     """
+    if g.n < 1:
+        raise ValueError("graph must have at least one vertex")
     if k < 1:
         raise ValueError("spread factor must be positive")
     j, order = _search_lower_bound(g, k)
@@ -194,8 +196,8 @@ def approx_schedule(g: Graph, k: int) -> ApproxResult:
     members = list(order)
     batches = [members[i:i + k] for i in range(0, len(members), k)]
     # members are pairwise > 2j apart while batches span <= j rounds, so no
-    # ignition can be preempted by propagation; strictifying is pure padding
-    sched = Schedule(k, _strictify(g, k, batches))
+    # ignition can be preempted by propagation; the pad policy only tops up
+    sched = Schedule(k, _run_rounds(g, k, batches, "pad")[3])
     report = simulate(g, sched, strict=True)
     if not report.valid:
         raise RuntimeError("padded ignition schedule failed strict validation")

@@ -15,15 +15,18 @@ otherwise the later one is already burning when ignited.
 
 A lenient mode that tolerates undersized batches exists for exploratory
 use (fixed-source scheduling produces such round patterns); certificates
-in this package are always checked strictly.
+in this package are always checked strictly.  Checking (``simulate``) and
+padding (``pad_schedule``) run one round loop, so ``completion_closed_form``,
+which shares no code with it, is the independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
-from .graph import Graph, bfs_distances
+from .graph import Graph
 
 
 class ScheduleError(ValueError):
@@ -85,28 +88,34 @@ def ignition_list(s: Schedule) -> list[tuple[int, int]]:
     return [(v, r) for r, batch in enumerate(s.rounds, start=1) for v in batch]
 
 
-def simulate(g: Graph, s: Schedule, strict: bool = True) -> BurnReport:
-    """Run the k-burning process for a schedule and judge its validity.
+def _run_rounds(g: Graph, k: int, rounds: list[list[int]], policy: str
+                ) -> tuple[list[int], int, list[Violation], list[list[int]]]:
+    """The one propagate-then-ignite loop; ``policy`` picks each round's batch.
 
-    Violations recorded: a batch vertex already burnt at ignition time; in
-    strict mode, any round whose batch size differs from
-    ``min(k, unburnt-after-propagation)``; and unburnable residue (vertices
-    no listed source can ever reach).  Simulation always runs to the end:
-    burnt state is reported even for invalid schedules.
+    ``"strict"`` and ``"lenient"`` ignite the listed batch, record the
+    violations ``simulate`` documents, run through every listed round and
+    stop at unburnable residue.  ``"pad"`` drops already-burnt members,
+    tops the batch up to ``min(k, unburnt)`` with the smallest unburnt ids
+    not listed for a later round (later-listed ones only when nothing else
+    is left) and stops once everything burns.  Returns the burn rounds
+    (0 = never), the completion round, the violations and the batches.
     """
-    validate_schedule(g, s)
-    n = g.n
-    adj = g.adj
+    n, adj = g.n, g.adj
+    pad = policy == "pad"
+    listed = 0 if pad else len(rounds)
+    if pad:
+        later = [0] * n  # the round each vertex is listed at
+        for r, batch in enumerate(rounds, start=1):
+            for v in batch:
+                later[v] = r
+        cursor = 0
     burn = [0] * n  # 0 = unburnt, else the burn round
-    unburnt = n
+    unburnt, completion, t = n, 0, 0
     violations: list[Violation] = []
+    batches: list[list[int]] = []
     frontier: list[int] = []
-    completion = 0
-    rounds = s.rounds
-    listed = len(rounds)
-    t = 0
-    # keep going past completion while batches are still listed: igniting
-    # into a fully burnt graph is a violation worth reporting
+    # checking keeps going past completion while batches are still listed:
+    # igniting into a fully burnt graph is a violation worth reporting
     while unburnt or t < listed:
         t += 1
         new: list[int] = []
@@ -118,34 +127,55 @@ def simulate(g: Graph, s: Schedule, strict: bool = True) -> BurnReport:
         unburnt -= len(new)
         if new:
             completion = t
-        batch = rounds[t - 1] if t <= listed else ()
-        ignited: list[int] = []
-        for v in batch:
-            if burn[v]:
-                violations.append(Violation(t, v, "already burnt at ignition"))
-            else:
+        if not unburnt and t > listed:
+            break
+        batch = rounds[t - 1] if t <= len(rounds) else ()
+        ignited = [v for v in batch if not burn[v]]
+        required = min(k, unburnt)
+        if not pad:
+            violations.extend(Violation(t, v, "already burnt at ignition") for v in batch if burn[v])
+            if policy == "strict" and len(batch) != required:
+                violations.append(Violation(t, -1, f"batch size {len(batch)}, expected {required}"))
+        for v in ignited:  # before the top-up, so its scans pass over these
+            burn[v] = t
+        if pad:
+            while cursor < n and len(ignited) < required:
+                if not burn[cursor] and later[cursor] <= t:
+                    burn[cursor] = t
+                    ignited.append(cursor)
+                cursor += 1
+            # only vertices listed for later rounds are left: take the smallest
+            for v in islice((u for u in range(n) if not burn[u]), required - len(ignited)):
                 burn[v] = t
                 ignited.append(v)
-        if strict:
-            required = min(s.k, unburnt)
-            if len(batch) != required:
-                violations.append(
-                    Violation(t, -1, f"batch size {len(batch)}, expected {required}")
-                )
         unburnt -= len(ignited)
         if ignited:
             completion = t
+        batches.append(ignited)
         frontier = new + ignited
         if t >= listed and not frontier and unburnt:
-            first = next(v for v in range(n) if not burn[v])
-            violations.append(
-                Violation(t, first, f"unburnable residue: {unburnt} vertices unreachable from any source")
-            )
+            reason = f"unburnable residue: {unburnt} vertices unreachable from any source"
+            violations.append(Violation(t, burn.index(0), reason))
             break
+    return burn, completion, violations, batches
+
+
+def simulate(g: Graph, s: Schedule, strict: bool = True) -> BurnReport:
+    """Run the k-burning process for a schedule and judge its validity.
+
+    Violations recorded: a batch vertex already burnt at ignition time; in
+    strict mode, any round whose batch size differs from
+    ``min(k, unburnt-after-propagation)``; and unburnable residue (vertices
+    no listed source can ever reach).  Simulation always runs to the end:
+    burnt state is reported even for invalid schedules.
+    """
+    validate_schedule(g, s)
+    burn, completion, violations, _ = _run_rounds(g, s.k, s.rounds, "strict" if strict else "lenient")
     return BurnReport(
         burn_round=[r if r else None for r in burn],
         completion_round=completion,
-        valid=(unburnt == 0 and not violations),
+        # a vertex left unburnt always comes with a residue violation
+        valid=not violations,
         violations=violations,
     )
 
@@ -154,99 +184,37 @@ def completion_closed_form(g: Graph, ignitions: list[tuple[int, int]]) -> int:
     """Completion round by the covering formula, independent of simulation.
 
     A source ignited at round r reaches radius t - r by round t, so the
-    process ends at ``max_v min_(s,r) (r + dist(s, v))``.  Raises ValueError
-    if some vertex is unreachable from every ignition vertex.
+    process ends at ``max_v min_(s,r) (r + dist(s, v))``: one breadth-first
+    search whose sources join when its level reaches their round.  Raises
+    ValueError if some vertex is unreachable from every ignition vertex.
     """
     if g.n == 0:
         return 0
     if not ignitions:
         raise ValueError("no ignitions given")
-    best_round: dict[int, int] = {}
     for v, r in ignitions:
         if not (0 <= v < g.n):
             raise ValueError(f"invalid ignition vertex {v}")
         if r < 1:
             raise ValueError(f"ignition round must be positive, got {r}")
-        if v not in best_round or r < best_round[v]:
-            best_round[v] = r
-    best = [None] * g.n
-    for v, r in best_round.items():
-        dist = bfs_distances(g, [v]).dist
-        for u in range(g.n):
-            d = dist[u]
-            if d is None:
-                continue
-            t = r + d
-            if best[u] is None or t < best[u]:
-                best[u] = t
-    for u in range(g.n):
-        if best[u] is None:
-            raise ValueError(f"vertex {u} unreachable from all ignition vertices")
-    return max(best)  # type: ignore[type-var]
-
-
-def _strictify(g: Graph, k: int, batches: list[list[int]]) -> list[list[int]]:
-    """Re-simulate the given batches, fixing them up to strict round sizes.
-
-    Batch vertices that are already burnt when their round comes are
-    dropped; each round is then topped up to ``min(k, unburnt)`` with the
-    smallest-id unburnt vertices not scheduled at a later round (falling
-    back to later-scheduled ones only when nothing else remains).  Extra
-    rounds are appended until every vertex has burnt.
-    """
-    n = g.n
-    adj = g.adj
-    burn = [0] * n
-    sched_round = [0] * n
-    for r, batch in enumerate(batches, start=1):
-        for v in batch:
-            sched_round[v] = r
-    out: list[list[int]] = []
-    frontier: list[int] = []
-    unburnt = n
-    cursor = 0
-    t = 0
-    while unburnt:
-        t += 1
-        new: list[int] = []
-        for x in frontier:
-            for u in adj[x]:
-                if not burn[u]:
-                    burn[u] = t
-                    new.append(u)
-        unburnt -= len(new)
-        if not unburnt:
-            break
-        batch = batches[t - 1] if t <= len(batches) else ()
-        kept = [v for v in batch if not burn[v]]
-        need = min(k, unburnt)
-        if len(kept) < need:
-            chosen = set(kept)
-            pad: list[int] = []
-            while cursor < n and len(kept) + len(pad) < need:
-                v = cursor
-                if burn[v] or v in chosen or sched_round[v] > t:
-                    cursor += 1
-                    continue
-                pad.append(v)
-                cursor += 1
-            if len(kept) + len(pad) < need:
-                # only later-scheduled vertices are left; steal the smallest
-                chosen.update(pad)
-                for v in range(n):
-                    if len(kept) + len(pad) >= need:
-                        break
-                    if not burn[v] and v not in chosen:
-                        pad.append(v)
-            batch_out = kept + pad
-        else:
-            batch_out = kept
-        for v in batch_out:
-            burn[v] = t
-        unburnt -= len(batch_out)
-        out.append(batch_out)
-        frontier = new + batch_out
-    return out
+    starts = sorted((r, v) for v, r in ignitions)
+    arrival: list[int | None] = [None] * g.n
+    level: list[int] = []
+    i = t = 0
+    while level or i < len(starts):
+        t = t + 1 if level else starts[i][0]  # idle rounds are skipped
+        reached = [u for x in level for u in g.adj[x]]
+        while i < len(starts) and starts[i][0] == t:
+            reached.append(starts[i][1])
+            i += 1
+        level = []
+        for u in reached:
+            if arrival[u] is None:
+                arrival[u] = t
+                level.append(u)
+    if None in arrival:
+        raise ValueError(f"vertex {arrival.index(None)} unreachable from all ignition vertices")
+    return max(arrival)  # type: ignore[type-var]
 
 
 def pad_schedule(g: Graph, s: Schedule) -> Schedule:
@@ -258,11 +226,9 @@ def pad_schedule(g: Graph, s: Schedule) -> Schedule:
     is deterministic; the padded schedule is strict-valid and completes no
     later than the input.
     """
-    validate_schedule(g, s)
-    probe = simulate(g, s, strict=False)
-    if any(v.vertex >= 0 and v.reason == "already burnt at ignition" for v in probe.violations):
+    if any(v.reason == "already burnt at ignition" for v in simulate(g, s, strict=False).violations):
         raise ScheduleError("input schedule has ignition violations; cannot pad")
-    return Schedule(s.k, _strictify(g, s.k, s.rounds))
+    return Schedule(s.k, _run_rounds(g, s.k, s.rounds, "pad")[3])
 
 
 def parse_schedule(text: str) -> Schedule:

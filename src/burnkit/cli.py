@@ -123,8 +123,7 @@ def _cmd_simulate(args) -> int:
     for v in report.violations:
         _emit("violation", v.round, v.vertex, v.reason)
     if not report.valid:
-        reason = report.violations[0].reason if report.violations else "incomplete burn"
-        raise _CliError(1, reason)
+        raise _CliError(1, report.violations[0].reason)
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .approx import lower_bound
-from .burning import Schedule, _strictify, simulate
+from .burning import Schedule, _run_rounds, simulate
 from .graph import Graph, bfs_distances
 
 
@@ -130,7 +130,7 @@ def exact_burning_number(
         if batches is not None:
             break
         depth += 1
-    witness = Schedule(k, _strictify(g, k, batches))
+    witness = Schedule(k, _run_rounds(g, k, batches, "pad")[3])
     report = simulate(g, witness, strict=True)
     assert report.valid and report.completion_round == depth
     return depth, witness

@@ -8,7 +8,10 @@ so sharing a graph across threads is safe.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import eq
 from typing import Iterable, Iterator
 
 
@@ -47,26 +50,50 @@ class Graph:
         return len(self.adj[v])
 
 
+class _BadEdge(ValueError):
+    """The first bad edge of a build; ``args`` are its message and input index."""
+
+
+def _build(n: int, ids: list[int], out_of_range: str) -> Graph:
+    """Graph from a flat id list ``[u0, v0, u1, v1, ...]``: the one edge checker.
+
+    Range and self-loops are checked in bulk, duplicates as repeated neighbors.
+    Only if a check fails are the edges walked in input order, to raise
+    _BadEdge for the first bad one; ``out_of_range`` formats an id's range error.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    if not ids or (min(ids) >= 0 and max(ids) < n and not any(map(eq, ids[::2], ids[1::2]))):
+        it = iter(ids)
+        for u, v in zip(it, it):
+            adj[u].append(v)
+            adj[v].append(u)
+        for a in adj:
+            a.sort()
+        if sum(map(len, map(set, adj))) == len(ids):
+            return Graph(n, adj)
+    seen: set[tuple[int, int]] = set()
+    it = iter(ids)
+    for i, (u, v) in enumerate(zip(it, it)):
+        if not (0 <= u < n and 0 <= v < n):
+            raise _BadEdge(out_of_range.format(u=u, v=v, n=n), i)
+        if u == v:
+            raise _BadEdge(f"self-loop at vertex {u}", i)
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise _BadEdge(f"duplicate edge ({key[0]},{key[1]})", i)
+        seen.add(key)
+    raise AssertionError("no bad edge found")
+
+
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge iterable, rejecting loops and duplicates."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    for a in adj:
-        a.sort()
-    return Graph(n, adj)
+    ids = [x for u, v in edges for x in (u, v)]
+    try:
+        return _build(n, ids, "edge ({u},{v}) out of range for n={n}")
+    except _BadEdge as e:
+        raise ValueError(e.args[0]) from None
 
 
 def parse_graph(text: str) -> Graph:
@@ -74,7 +101,8 @@ def parse_graph(text: str) -> Graph:
 
     Raises GraphFormatError with the 1-based line number on any of:
     malformed line, id out of range, self-loop, duplicate edge, or an
-    edge count that does not match the header.
+    edge count that does not match the header.  Lines are read one by
+    one only to locate an error; otherwise the tokens are converted in bulk.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -89,37 +117,40 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise GraphFormatError(1, "n and m must be non-negative")
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    count = 0
-    for idx, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        if count == m:
-            raise GraphFormatError(idx, f"more than {m} edge lines")
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphFormatError(idx, f"expected 'u v', got {raw.strip()!r}")
+    out_of_range = "vertex id out of range in ({u},{v})"
+    ids = None
+    with suppress(ValueError):
+        if set(map(len, map(str.split, islice(lines, 1, None)))) <= {0, 2}:
+            ids = list(map(int, chain.from_iterable(map(str.split, islice(lines, 1, None)))))
+    if ids is not None and len(ids) == 2 * m:
+        del lines  # the adjacency lists need the memory more
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(idx, f"expected two integers, got {raw.strip()!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(idx, f"vertex id out of range in ({u},{v})")
-        if u == v:
-            raise GraphFormatError(idx, f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(idx, f"duplicate edge ({key[0]},{key[1]})")
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-        count += 1
-    if count != m:
-        raise GraphFormatError(len(lines) + 1, f"expected {m} edges, found {count}")
-    for a in adj:
-        a.sort()
-    return Graph(n, adj)
+            return _build(n, ids, out_of_range)
+        except _BadEdge:
+            lines = text.splitlines()
+    # read up to the first malformed line; an edge error before it comes first
+    ids, where, error = [], [], None
+    for idx, raw in enumerate(lines[1:], start=2):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(where) == m:
+            error = GraphFormatError(idx, f"more than {m} edge lines")
+        elif len(parts) != 2:
+            error = GraphFormatError(idx, f"expected 'u v', got {raw.strip()!r}")
+        else:
+            try:
+                ids += (int(parts[0]), int(parts[1]))
+                where.append(idx)
+                continue
+            except ValueError:
+                error = GraphFormatError(idx, f"expected two integers, got {raw.strip()!r}")
+        break
+    try:
+        _build(n, ids, out_of_range)
+    except _BadEdge as e:
+        raise GraphFormatError(where[e.args[1]], e.args[0]) from None
+    raise error or GraphFormatError(len(lines) + 1, f"expected {m} edges, found {len(where)}")
 
 
 def serialize_graph(g: Graph) -> str:

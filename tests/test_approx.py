@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import (
+    Graph,
     approx_schedule,
     bfs_distances,
     complete_graph,
@@ -125,3 +126,10 @@ def test_approx_disconnected_graph():
     assert rep.valid
     res2 = approx_schedule(g, 3)
     assert res2.completion <= res.completion
+
+
+def test_approx_rejects_empty_graph():
+    # the same contract as lower_bound and exact_burning_number
+    with pytest.raises(ValueError) as exc:
+        approx_schedule(Graph(0, []), 1)
+    assert str(exc.value) == "graph must have at least one vertex"

@@ -132,6 +132,10 @@ def test_closed_form_examples():
     assert completion_closed_form(p4, [(v, 1) for v in range(4)]) == 1
     p9 = path_graph(9)
     assert completion_closed_form(p9, [(0, 1), (5, 2)]) == 5
+    # a vertex listed twice counts from its earlier round
+    assert completion_closed_form(p4, [(1, 3), (1, 1)]) == 3
+    # an ignition at a vertex another source reaches first changes nothing
+    assert completion_closed_form(p9, [(0, 1), (2, 5)]) == 9
     # matches the simulated completion of the same ignition list
     assert simulate(p9, Schedule(1, [[0], [5]])).completion_round == 5
 

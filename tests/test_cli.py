@@ -186,6 +186,16 @@ def test_reports_are_byte_identical(capsys, p4, tmp_path):
     assert a1 == a2
 
 
+def test_empty_graph_is_a_usage_error_for_every_solver(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n")
+    for command in ("approx", "lower-bound", "exact"):
+        code, out, err = run(capsys, command, "--graph", empty, "--k", 1)
+        assert code == 2, command
+        assert out == ""
+        assert err.splitlines()[0] == "error parse graph must have at least one vertex"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

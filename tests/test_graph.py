@@ -43,23 +43,33 @@ def test_parse_reversed_duplicate_rejected():
     assert exc.value.line == 3
 
 
+PARSE_ERRORS = [
+    ("", 1, "missing 'n m' header"),
+    ("4", 1, "expected 'n m', got '4'"),
+    ("x y", 1, "expected two integers, got 'x y'"),
+    ("2 1\n0", 2, "expected 'u v', got '0'"),
+    ("2 1\n0 2", 2, "vertex id out of range in (0,2)"),
+    ("2 1\n1 1", 2, "self-loop at vertex 1"),
+    ("2 2\n0 1", 3, "expected 2 edges, found 1"),  # fewer edges than declared
+    ("2 0\n0 1", 2, "more than 0 edge lines"),  # more edges than declared
+    # the earlier of two bad edges is reported, whatever its kind
+    ("3 3\n0 1\n1 0\n0 5", 3, "duplicate edge (0,1)"),
+    # blank lines count towards line numbers but not towards edges
+    ("3 2\n\n0 1\n\n  \n1 1\n", 6, "self-loop at vertex 1"),
+    # a bad edge is reported before a malformed line after it
+    ("3 2\n1 1\n\nx y", 2, "self-loop at vertex 1"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,line",
-    [
-        ("", 1),
-        ("4", 1),
-        ("x y", 1),
-        ("2 1\n0", 2),
-        ("2 1\n0 2", 2),
-        ("2 1\n1 1", 2),
-        ("2 2\n0 1", 3),  # fewer edges than declared
-        ("2 0\n0 1", 2),  # more edges than declared
-    ],
+    "text,line,message",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in PARSE_ERRORS],
 )
-def test_parse_errors(text, line):
+def test_parse_errors(text, line, message):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
     assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
 
 
 def test_serialize_canonical():
@@ -159,9 +169,12 @@ def test_builders():
 
 
 def test_from_edges_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         graph_from_edges(2, [(0, 0)])
-    with pytest.raises(ValueError):
+    assert str(exc.value) == "self-loop at vertex 0"
+    with pytest.raises(ValueError) as exc:
         graph_from_edges(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    assert str(exc.value) == "duplicate edge (0,1)"
+    with pytest.raises(ValueError) as exc:
         graph_from_edges(2, [(0, 5)])
+    assert str(exc.value) == "edge (0,5) out of range for n=2"
