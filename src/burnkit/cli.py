@@ -180,9 +180,13 @@ def _cmd_schedule(args) -> int:
     sources = _parse_ints(args.sources, "source")
     try:
         inst = SchedulingInstance(g, tuple(sources), args.k)
-        assignment = schedule_sources(inst, rounds=args.max_rounds)
+        assignment = schedule_sources(
+            inst, rounds=args.max_rounds, time_budget=args.time_budget
+        )
     except ValueError as e:
         raise _fail_parse(str(e)) from e
+    except UndeterminedError as e:
+        raise _CliError(3, str(e)) from e
     rounds = args.max_rounds if args.max_rounds else -(-len(inst.sources) // args.k)
     _emit("command", "schedule")
     _emit("graph", args.graph)
@@ -378,6 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", required=True, help="comma- or space-separated vertex ids")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--max-rounds", type=int, help="round budget (default ceil(#sources/k))")
+    p.add_argument("--time-budget", type=float, help="seconds before giving up")
     p.set_defaults(fn=_cmd_schedule)
 
     p = sub.add_parser("gen-vc", help="build the vertex-cover burning gadget")

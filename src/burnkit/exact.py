@@ -10,7 +10,9 @@ extra or replaced ignitions only add fire.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .approx import lower_bound
@@ -44,10 +46,12 @@ class SchedulingInstance:
         self.sources = tuple(srcs)
 
 
-def _ball_masks(g: Graph, max_radius: int) -> list[list[int]]:
+def _ball_masks(g: Graph, max_radius: int, deadline: float | None) -> list[list[int]]:
     """ball[v][d] = bitmask of vertices within d hops of v, d = 0..max_radius."""
     masks: list[list[int]] = []
     for v in range(g.n):
+        if deadline is not None and time.monotonic() > deadline:
+            raise UndeterminedError("time budget exhausted")
         dist = bfs_distances(g, [v]).dist
         row = [0] * (max_radius + 1)
         acc = 0
@@ -72,14 +76,20 @@ def exact_burning_number(
     """Optimal round count plus a strict-valid witness schedule.
 
     Iterative deepening on the round budget L, anchored at the certified
-    lower bound.  Each depth runs a DFS over per-round batches in
+    lower bound j.  Each depth runs a DFS over per-round batches in
     ascending-id order (so the witness is canonical): candidates are
     restricted to vertices whose radius-(L-r) ball still covers something
-    new, and a branch dies when the uncovered count exceeds what the
-    remaining rounds could possibly cover.  Intended for n up to ~20.
+    new.  A child batch is judged in its parent's loop before any call is
+    made: a batch that covers everything ends the search, and one whose
+    uncovered count exceeds what the remaining rounds could possibly
+    cover (k times the largest ball, summed over those rounds) is skipped.
+    Balls are bitmasks precomputed up to radius 3j, since the
+    approximation burns everything within 3j rounds.  At desk scale that
+    settles k = 1 on 50 vertices and k = 2 on 40 well under a second.
 
     Raises UndeterminedError when ``max_rounds`` or ``time_budget`` is
-    exhausted first; never returns a wrong number.
+    exhausted first, the precomputation included; never returns a wrong
+    number.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -89,43 +99,46 @@ def exact_burning_number(
     full = (1 << n) - 1
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     start_l = lower_bound(g, k)
-    ball = _ball_masks(g, n)
-    maxball = [max(ball[v][d].bit_count() for v in range(n)) for d in range(n + 1)]
+    top = 3 * start_l  # b <= 3j: the approximation completes within 3j rounds
+    ball = _ball_masks(g, top, deadline)
+    maxball = [max(ball[v][d].bit_count() for v in range(n)) for d in range(top + 1)]
 
     def try_depth(limit: int) -> list[list[int]] | None:
         # cap[r] = most vertices rounds r..limit could still cover
         cap = [0] * (limit + 2)
         for r in range(limit, 0, -1):
-            cap[r] = cap[r + 1] + k * maxball[min(limit - r, n)]
+            cap[r] = cap[r + 1] + k * maxball[limit - r]
 
         def dfs(r: int, covered: int, acc: list[list[int]]) -> list[list[int]] | None:
-            if covered == full:
-                return acc
-            if r > limit:
-                return None
+            # only children that are neither complete nor over capacity get here
             if deadline is not None and time.monotonic() > deadline:
                 raise UndeterminedError("time budget exhausted")
             uncovered = full & ~covered
-            if uncovered.bit_count() > cap[r]:
-                return None
-            radius = min(limit - r, n)
+            radius = limit - r
             cands = [v for v in range(n) if ball[v][radius] & uncovered]
             take = min(k, len(cands))
+            need = n - cap[r + 1]  # a child covering fewer cannot finish in time
             for batch in combinations(cands, take):
                 cov = covered
                 for v in batch:
                     cov |= ball[v][radius]
+                if cov == full:
+                    return acc + [list(batch)]
+                if cov.bit_count() < need:
+                    continue
                 found = dfs(r + 1, cov, acc + [list(batch)])
                 if found is not None:
                     return found
             return None
 
-        return dfs(1, 0, [])
+        return dfs(1, 0, []) if n <= cap[1] else None
 
     depth = start_l
     while True:
         if max_rounds is not None and depth > max_rounds:
             raise UndeterminedError(f"not determined within {max_rounds} rounds")
+        if depth > top:
+            raise RuntimeError(f"burning number exceeds 3 * lower bound = {top}")
         batches = try_depth(depth)
         if batches is not None:
             break
@@ -206,6 +219,15 @@ def ordering_feasible(
     must still be unburnt when ignited (no earlier source within r'-r
     hops), and every vertex must burn by the deadline.
     """
+    return _ordering_feasible(inst, ordering, rounds, _source_tables(inst))
+
+
+def _ordering_feasible(
+    inst: SchedulingInstance,
+    ordering: dict[int, int],
+    rounds: int,
+    tables: dict[int, list[int | None]],
+) -> tuple[bool, str]:
     if sorted(ordering) != list(inst.sources):
         return False, "ordering must assign exactly the instance sources"
     per_round: dict[int, int] = {}
@@ -215,7 +237,6 @@ def ordering_feasible(
         per_round[r] = per_round.get(r, 0) + 1
         if per_round[r] > inst.k:
             return False, f"round {r} ignites more than k={inst.k} sources"
-    tables = _source_tables(inst)
     items = sorted(ordering.items(), key=lambda it: it[1])
     for i, (s, r) in enumerate(items):
         for sp, rp in items[:i]:
@@ -235,7 +256,11 @@ def ordering_feasible(
     return True, ""
 
 
-def schedule_sources(inst: SchedulingInstance, rounds: int | None = None) -> dict[int, int] | None:
+def schedule_sources(
+    inst: SchedulingInstance,
+    rounds: int | None = None,
+    time_budget: float | None = None,
+) -> dict[int, int] | None:
     """Assign each source a round so everything burns in time, or report infeasible.
 
     Searches round assignments source-by-source in ascending id with
@@ -244,6 +269,21 @@ def schedule_sources(inst: SchedulingInstance, rounds: int | None = None) -> dic
     pairwise still-unburnt-at-ignition constraints among assigned sources,
     and an optimistic completion bound that places every unassigned source
     at the earliest round with spare capacity.
+
+    The bound is one bitmask comparison per node.  ``ball(i, d)`` is the
+    set of vertices within d hops of the i-th source and ``suffix(i, d)``
+    the union of those balls over sources i onwards, each built the first
+    time the search asks for it.  The search carries ``covered``, the
+    union of ``ball(i, rounds - r)`` over the assigned (source, round)
+    pairs.  After placing source i, with ``free`` the earliest round with
+    spare capacity, the branch lives only if ``covered | suffix(i + 1,
+    rounds - free)`` is every vertex (the suffix term counts only while
+    ``free <= rounds``).  The same test on ``suffix(0, rounds - 1)``
+    rejects up front any vertex that no source reaches in time.  Every
+    witness is still checked in full by ``ordering_feasible``.
+
+    Raises UndeterminedError when ``time_budget`` (seconds) runs out
+    before the search settles.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:
@@ -252,13 +292,38 @@ def schedule_sources(inst: SchedulingInstance, rounds: int | None = None) -> dic
         rounds = -(-len(srcs) // inst.k)
     if rounds < 1:
         raise ValueError("round budget must be positive")
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
     tables = _source_tables(inst)
     n = inst.graph.n
     k = inst.k
-    # a vertex no source can ever reach makes every assignment infeasible
-    for v in range(n):
-        if all(tables[s][v] is None for s in srcs):
-            return None
+    full = (1 << n) - 1
+
+    # the vertices each source reaches, nearest first, with their distances
+    order: list[list[int]] = []
+    hops: list[list[int]] = []
+    for s in srcs:
+        dist = tables[s]
+        near = sorted((v for v in range(n) if dist[v] is not None), key=dist.__getitem__)
+        order.append(near)
+        hops.append([dist[v] for v in near])
+
+    # masks are built on first use: a table of every radius would take
+    # |S|*rounds*n bits up front, while a search builds only those it asks for
+    @cache
+    def ball(i: int, d: int) -> int:
+        # set bits in a byte buffer: OR-ing one-bit ints in one by one
+        # would copy the whole mask per vertex
+        buf = bytearray((n + 7) // 8)
+        for v in order[i][: bisect_right(hops[i], d)]:
+            buf[v >> 3] |= 1 << (v & 7)
+        return int.from_bytes(buf, "little")
+
+    @cache
+    def suffix(i: int, d: int) -> int:
+        return ball(i, d) | suffix(i + 1, d) if i < len(srcs) else 0
+
+    if suffix(0, rounds - 1) != full:
+        return None
 
     capacity = [0] * (rounds + 1)
     assigned: dict[int, int] = {}
@@ -269,27 +334,11 @@ def schedule_sources(inst: SchedulingInstance, rounds: int | None = None) -> dic
                 return r
         return rounds + 1
 
-    def optimistic_ok() -> bool:
-        free = earliest_free_round()
-        for v in range(n):
-            best = None
-            for s in srcs:
-                d = tables[s][v]
-                if d is None:
-                    continue
-                r = assigned.get(s, free)
-                if r > rounds:
-                    continue
-                t = r + d
-                if best is None or t < best:
-                    best = t
-            if best is None or best > rounds:
-                return False
-        return True
-
-    def place(i: int) -> bool:
+    def place(i: int, covered: int) -> bool:
+        if deadline is not None and time.monotonic() > deadline:
+            raise UndeterminedError("time budget exhausted")
         if i == len(srcs):
-            ok, _ = ordering_feasible(inst, dict(assigned), rounds)
+            ok, _ = _ordering_feasible(inst, dict(assigned), rounds, tables)
             return ok
         s = srcs[i]
         for r in range(1, rounds + 1):
@@ -298,20 +347,24 @@ def schedule_sources(inst: SchedulingInstance, rounds: int | None = None) -> dic
             conflict = False
             for sp, rp in assigned.items():
                 d = tables[sp][s]  # hop distances are symmetric
-                early, late = min(rp, r), max(rp, r)
-                if early != late and d is not None and early + d <= late:
+                # the later of two sources burns before its round if the
+                # earlier one is within the gap between their rounds
+                if rp != r and d is not None and d <= abs(r - rp):
                     conflict = True
                     break
             if conflict:
                 continue
             assigned[s] = r
             capacity[r] += 1
-            if optimistic_ok() and place(i + 1):
+            now = covered | ball(i, rounds - r)
+            free = earliest_free_round()
+            later = suffix(i + 1, rounds - free) if free <= rounds else 0
+            if now | later == full and place(i + 1, now):
                 return True
             capacity[r] -= 1
             del assigned[s]
         return False
 
-    if place(0):
+    if place(0, 0):
         return dict(sorted(assigned.items()))
     return None

@@ -112,6 +112,13 @@ def test_schedule_command(capsys, tmp_path):
     code, out, _ = run(capsys, "schedule", "--graph", p5, "--sources", "0,4", "--max-rounds", 2)
     assert code == 0
     assert parse_report(out)["feasible"] == ["false"]
+    code, out, err = run(
+        capsys, "schedule", "--graph", p5, "--sources", "0,4", "--max-rounds", 3,
+        "--time-budget", 0,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[0].startswith("error limit")
 
 
 def test_vc_generation_and_mapping(capsys, tmp_path, p4):

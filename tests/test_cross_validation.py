@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import (
+    Cnf3,
     Schedule,
     SchedulingInstance,
+    bfs_distances,
+    build_sat_instance,
     build_vc_instance,
+    exact_burning_number,
+    ordering_feasible,
     schedule_sources,
     schedule_to_vc,
     simulate,
@@ -21,6 +26,7 @@ from .strategies import (
     brute_force_min_cover,
     graphs,
     random_connected_graph,
+    random_graph,
     random_strict_schedule,
 )
 
@@ -93,6 +99,139 @@ def test_schedule_sources_matches_brute_force(g, data):
     rounds = data.draw(st.integers(1, 5))
     inst = SchedulingInstance(g, tuple(sources), k)
     assert schedule_sources(inst, rounds) == brute_force_schedule(inst, rounds)
+
+
+def reference_schedule_sources(inst, rounds=None):
+    """The fixed-source search with its completion bound computed the slow
+    way: at every node, each vertex's earliest arrival is a min over every
+    source, the unassigned ones placed at the earliest round with spare
+    capacity."""
+    srcs = list(inst.sources)
+    if rounds is None:
+        rounds = -(-len(srcs) // inst.k)
+    tables = {s: bfs_distances(inst.graph, [s]).dist for s in srcs}
+    n = inst.graph.n
+    k = inst.k
+    for v in range(n):
+        if all(tables[s][v] is None for s in srcs):
+            return None
+
+    capacity = [0] * (rounds + 1)
+    assigned: dict[int, int] = {}
+
+    def earliest_free_round() -> int:
+        for r in range(1, rounds + 1):
+            if capacity[r] < k:
+                return r
+        return rounds + 1
+
+    def optimistic_ok() -> bool:
+        free = earliest_free_round()
+        for v in range(n):
+            best = None
+            for s in srcs:
+                d = tables[s][v]
+                if d is None:
+                    continue
+                r = assigned.get(s, free)
+                if r > rounds:
+                    continue
+                t = r + d
+                if best is None or t < best:
+                    best = t
+            if best is None or best > rounds:
+                return False
+        return True
+
+    def place(i: int) -> bool:
+        if i == len(srcs):
+            ok, _ = ordering_feasible(inst, dict(assigned), rounds)
+            return ok
+        s = srcs[i]
+        for r in range(1, rounds + 1):
+            if capacity[r] >= k:
+                continue
+            conflict = False
+            for sp, rp in assigned.items():
+                d = tables[sp][s]  # hop distances are symmetric
+                early, late = min(rp, r), max(rp, r)
+                if early != late and d is not None and early + d <= late:
+                    conflict = True
+                    break
+            if conflict:
+                continue
+            assigned[s] = r
+            capacity[r] += 1
+            if optimistic_ok() and place(i + 1):
+                return True
+            capacity[r] -= 1
+            del assigned[s]
+        return False
+
+    if place(0):
+        return dict(sorted(assigned.items()))
+    return None
+
+
+def test_schedule_sources_matches_reference_on_sat_gadgets():
+    rng = random.Random(61)
+    verdicts = set()
+    for n_vars in (3, 4, 5):
+        for _ in range(20):
+            clauses = tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), 3))
+                for _ in range(round(4.26 * n_vars))
+            )
+            inst = build_sat_instance(Cnf3(n_vars, clauses)).inst
+            got = schedule_sources(inst, 2 * n_vars)
+            assert got == reference_schedule_sources(inst, 2 * n_vars), clauses
+            verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_schedule_sources_matches_reference_on_random_graphs():
+    rng = random.Random(62)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(8, 14)
+        if rng.random() < 0.25:  # possibly disconnected: unreachable vertices
+            g = random_graph(rng, n, 0.2)
+        else:
+            g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n // 2))
+        sources = tuple(rng.sample(range(n), rng.randint(1, 8)))
+        k = rng.choice([1, 2])
+        inst = SchedulingInstance(g, sources, k)
+        rounds = rng.choice([None, rng.randint(1, 8)])
+        got = schedule_sources(inst, rounds)
+        assert got == reference_schedule_sources(inst, rounds), (g.adj, sources, k, rounds)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+# (n, m, (b, witness rounds) at k = 1, the same at k = 2), drawn in order
+# from random.Random(2020) by random_connected_graph
+PINNED_EXACT = [
+    (16, 26, (3, [[0], [1], [10]]), (3, [[0, 1], [7, 10]])),
+    (13, 22, (3, [[0], [5]]), (3, [[0, 1], [2, 6]])),
+    (15, 14, (4, [[0], [5], [1]]), (3, [[0, 1], [5, 6], [10]])),
+    (12, 21, (3, [[1], [2], [11]]), (2, [[1, 10], [8, 9]])),
+    (15, 28, (3, [[0], [1]]), (3, [[0, 1], [2, 4]])),
+    (14, 19, (3, [[0], [10], [9]]), (3, [[0, 1], [2, 10]])),
+    (16, 19, (4, [[0], [1], [9]]), (3, [[0, 1], [3, 5], [10, 15]])),
+    (15, 19, (3, [[4], [1], [13]]), (3, [[0, 1], [3, 5]])),
+    (14, 23, (3, [[1], [10], [12]]), (3, [[0, 1], [3, 7]])),
+    (15, 21, (4, [[0], [1], [9]]), (3, [[0, 1], [5, 8]])),
+]
+
+
+def test_exact_witnesses_are_pinned():
+    rng = random.Random(2020)
+    for n, m, *by_k in PINNED_EXACT:
+        g = random_connected_graph(rng, rng.randint(12, 16))
+        assert (g.n, g.m) == (n, m)
+        for k, (b, rounds) in enumerate(by_k, start=1):
+            got_b, witness = exact_burning_number(g, k)
+            assert (got_b, witness.rounds) == (b, rounds), (n, m, k)
 
 
 @pytest.mark.parametrize("k", [1, 2])

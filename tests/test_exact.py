@@ -1,15 +1,19 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import (
+    Cnf3,
     SchedulingInstance,
     UndeterminedError,
+    build_sat_instance,
     complete_graph,
     exact_burning_number,
     graph_from_edges,
+    grid_graph,
     naive_oracle,
     ordering_feasible,
     path_graph,
@@ -80,6 +84,22 @@ def test_exact_respects_time_budget():
     g = path_graph(18)
     with pytest.raises(UndeterminedError):
         exact_burning_number(g, 1, time_budget=0.0)
+
+
+def test_exact_budget_covers_precomputation():
+    # one BFS per vertex precedes the search; the budget must cut it short
+    t0 = time.monotonic()
+    with pytest.raises(UndeterminedError):
+        exact_burning_number(grid_graph(50, 40), 1, time_budget=0.2)
+    assert time.monotonic() - t0 < 1.5
+
+
+def test_schedule_sources_respects_time_budget():
+    cnf = Cnf3(5, ((1, 2, 3), (-1, 4, 5), (-2, -3, -4), (1, -5, 3), (2, -4, 5)))
+    inst = build_sat_instance(cnf).inst
+    assert schedule_sources(inst, 10) is not None
+    with pytest.raises(UndeterminedError):
+        schedule_sources(inst, 10, time_budget=0.0)
 
 
 def test_scheduling_instance_validation():
