@@ -58,7 +58,7 @@ def _fail_parse(reason: str) -> _CliError:
 
 def _emit(key: str, *values) -> None:
     if values:
-        print(f"{key} " + " ".join(str(v) for v in values))
+        print(f"{key} " + " ".join(map(str, values)))
     else:
         print(key)
 

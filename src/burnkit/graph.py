@@ -8,6 +8,8 @@ so sharing a graph across threads is safe.
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -29,7 +31,13 @@ class Graph:
 
     ``adj[v]`` lists the neighbors of ``v`` in ascending order and is
     symmetric (u lists v iff v lists u).  No self-loops, no duplicate
-    edges.
+    edges.  In a graph from this module's builders every entry naming
+    vertex v is one shared int object, so the lists hold n ints, not 2m.
+
+    The builders pause the process-global cyclic garbage collector while
+    they allocate the n lists (which hold no cycles) and then restore its
+    prior state.  A thread that turns the collector off while another
+    thread is building a graph may therefore find it back on.
     """
 
     n: int
@@ -37,7 +45,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in ascending order."""
@@ -54,23 +62,35 @@ class _BadEdge(ValueError):
     """The first bad edge of a build; ``args`` are its message and input index."""
 
 
-def _build(n: int, ids: list[int], out_of_range: str) -> Graph:
+def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = None) -> Graph:
     """Graph from a flat id list ``[u0, v0, u1, v1, ...]``: the one edge checker.
 
     Range and self-loops are checked in bulk, duplicates as repeated neighbors.
     Only if a check fails are the edges walked in input order, to raise
     _BadEdge for the first bad one; ``out_of_range`` formats an id's range error.
+    Nothing of size n is allocated before the range and self-loop checks pass.
+    Then the ids are swapped in place for the entries of ``vid``, the table
+    ``list(range(n))``, unless the caller already read them through it.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
     if not ids or (min(ids) >= 0 and max(ids) < n and not any(map(eq, ids[::2], ids[1::2]))):
-        it = iter(ids)
-        for u, v in zip(it, it):
-            adj[u].append(v)
-            adj[v].append(u)
-        for a in adj:
-            a.sort()
-        if sum(map(len, map(set, adj))) == len(ids):
-            return Graph(n, adj)
+        enabled = gc.isenabled()
+        gc.disable()  # the n lists would set off full collections, and hold no cycles
+        try:
+            if vid is None:
+                vid = list(range(n))
+                ids[:] = map(vid.__getitem__, ids)
+            adj: list[list[int]] = [[] for _ in vid]
+            it = iter(ids)
+            for u, v in zip(it, it):
+                adj[u].append(v)
+                adj[v].append(u)
+            for a in adj:
+                a.sort()
+            if sum(map(len, map(set, adj))) == len(ids):
+                return Graph(n, adj)
+        finally:
+            if enabled:
+                gc.enable()
     seen: set[tuple[int, int]] = set()
     it = iter(ids)
     for i, (u, v) in enumerate(zip(it, it)):
@@ -119,15 +139,26 @@ def parse_graph(text: str) -> Graph:
 
     out_of_range = "vertex id out of range in ({u},{v})"
     ids = None
-    with suppress(ValueError):
-        if set(map(len, map(str.split, islice(lines, 1, None)))) <= {0, 2}:
-            ids = list(map(int, chain.from_iterable(map(str.split, islice(lines, 1, None)))))
-    if ids is not None and len(ids) == 2 * m:
-        del lines  # the adjacency lists need the memory more
-        try:
-            return _build(n, ids, out_of_range)
-        except _BadEdge:
-            lines = text.splitlines()
+    counts = Counter(map(len, map(str.split, islice(lines, 1, None))))
+    if counts.keys() <= {0, 2} and counts[2] == m:
+        # Read the ids straight through the builder's table of vertex ids,
+        # so 2m ints are never made; an id >= n raises IndexError.  Not when
+        # the table would outnumber the ids, so that a header alone allocates
+        # nothing of size n, nor when the body holds a "-": the table would
+        # wrap a negative id.
+        vid = None
+        if n <= 2 * m and text.find("-", len(lines[0])) < 0:
+            vid = list(range(n))
+        tokens = map(int, chain.from_iterable(map(str.split, islice(lines, 1, None))))
+        with suppress(ValueError, IndexError):
+            ids = list(tokens if vid is None else map(vid.__getitem__, tokens))
+        if ids is not None:
+            del lines  # the adjacency lists need the memory more
+            try:
+                return _build(n, ids, out_of_range, vid)
+            except _BadEdge:
+                lines = text.splitlines()
+        del vid
     # read up to the first malformed line; an edge error before it comes first
     ids, where, error = [], [], None
     for idx, raw in enumerate(lines[1:], start=2):
@@ -156,7 +187,7 @@ def parse_graph(text: str) -> Graph:
 def serialize_graph(g: Graph) -> str:
     """Canonical edge-list form: header, then edges ``u v`` with u < v, ascending."""
     out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
+    out.extend(f"{u} {v}" for u, a in enumerate(g.adj) for v in a if u < v)
     return "\n".join(out) + "\n"
 
 

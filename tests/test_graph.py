@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+from contextlib import suppress
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +62,11 @@ PARSE_ERRORS = [
     ("3 2\n\n0 1\n\n  \n1 1\n", 6, "self-loop at vertex 1"),
     # a bad edge is reported before a malformed line after it
     ("3 2\n1 1\n\nx y", 2, "self-loop at vertex 1"),
+    # ids -1 and n, read without and through the id table
+    ("3 2\n0 1\n-1 2", 3, "vertex id out of range in (-1,2)"),
+    ("3 2\n0 1\n-1 0", 3, "vertex id out of range in (-1,0)"),  # would wrap to a valid edge
+    ("3 2\n0 1\n1 3", 3, "vertex id out of range in (1,3)"),
+    ("9 1\n\n0 9", 3, "vertex id out of range in (0,9)"),
 ]
 
 
@@ -70,6 +79,89 @@ def test_parse_errors(text, line, message):
         parse_graph(text)
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_parse_negative_zero_is_zero():
+    assert parse_graph("2 1\n-0 1").adj == parse_graph("2 1\n0 1").adj == [[1], [0]]
+
+
+def _grid_text(rows: int, cols: int, first: str = "0") -> str:
+    body = serialize_graph(grid_graph(rows, cols)).split("\n", 2)
+    return "\n".join([body[0], body[1].replace("0", first, 1), body[2]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_graph(_grid_text(40, 40)),
+    lambda: parse_graph(_grid_text(40, 40, first="-0")),  # ids not read through the table
+    lambda: parse_graph("2000 2\n300 1999\n1999 1000\n"),  # n > 2m: table made by the builder
+    lambda: graph_from_edges(1600, [(v, v + 1) for v in range(1599)] + [(0, 1599)]),
+    lambda: grid_graph(40, 40),
+], ids=["parse", "parse-negative-zero", "parse-sparse", "from-edges", "grid"])
+def test_adjacency_shares_one_int_per_vertex(build):
+    g = build()
+    assert g.n > 256  # ids up to 256 are cached by the interpreter anyway
+    entries = [u for a in g.adj for u in a]
+    assert len({id(u) for u in entries}) == len(set(entries)) <= g.n
+
+
+BUILDS = [
+    lambda: parse_graph("3 2\n0 1\n1 2"),
+    lambda: parse_graph("3 2\n0 1\n1 3"),
+    lambda: parse_graph("3 2\n0 1\n-1 2"),
+    lambda: parse_graph("3 2\n0 1\n1 1"),
+    lambda: parse_graph("3 2\n0 1\n1 0"),
+    lambda: parse_graph("3 2\n0 1\nx y"),
+    lambda: parse_graph("3 2\n0 1"),
+    lambda: graph_from_edges(3, [(0, 1), (1, 2)]),
+    lambda: graph_from_edges(3, [(0, 3)]),
+    lambda: graph_from_edges(3, [(1, 1)]),
+    lambda: graph_from_edges(3, [(0, 1), (1, 0)]),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_builders_restore_collector_state(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for build in BUILDS:
+            with suppress(ValueError):
+                build()
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_builder_runs_no_collection():
+    edges = [(v, v + 1) for v in range(19999)]
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        gc.collect()
+        before = gc.get_stats()
+        g = graph_from_edges(20000, edges)
+        after = gc.get_stats()  # before anything else allocates and collects the young lists
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert g.m == 19999
+    assert [s["collections"] for s in after] == [s["collections"] for s in before]
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: parse_graph("2000000 1\n0 2000000\n"), "line 2: vertex id out of range in (0,2000000)"),
+    (lambda: parse_graph("2000000 1\n5 5\n"), "line 2: self-loop at vertex 5"),
+    (lambda: graph_from_edges(2_000_000, [(0, 2_000_000)]), "edge (0,2000000) out of range for n=2000000"),
+], ids=["parse-range", "parse-self-loop", "from-edges-range"])
+def test_rejected_huge_header_allocates_nothing_of_size_n(build, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 1 << 20  # 2e6 empty lists alone would take 112 MB
 
 
 def test_serialize_canonical():
