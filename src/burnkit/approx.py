@@ -88,8 +88,11 @@ def mis_power(g: Graph, r: int) -> MisResult:
     return MisResult(r, frozenset(order), tuple(order))
 
 
-def _search_lower_bound(g: Graph, k: int) -> tuple[int, list[int] | None]:
-    """Smallest j with |M(j)| <= k*j, plus the pick order at j when known.
+def _search_lower_bound(g: Graph, k: int) -> tuple[int, list[int]]:
+    """Smallest j with |M(j)| <= k*j, plus the pick order at j.
+
+    Every j the search settles on is a successful probe, so its order
+    is always recorded.
 
     Galloping brackets the answer with cheap early-exit probes; the
     bracket is then closed by bisection steps whose probe points come from
@@ -112,7 +115,7 @@ def _search_lower_bound(g: Graph, k: int) -> tuple[int, list[int] | None]:
         return len(order) <= k * j
 
     if probe(1, k):
-        return 1, orders.get(1)
+        return 1, orders[1]
     lo = 1
     hi = 2
     while hi < n and not probe(hi, k * hi):
@@ -151,7 +154,7 @@ def _search_lower_bound(g: Graph, k: int) -> tuple[int, list[int] | None]:
             hi = mid
         else:
             lo = mid
-    return hi, orders.get(hi)
+    return hi, orders[hi]
 
 
 def lower_bound(g: Graph, k: int, verify_linear: bool = False) -> int:
@@ -190,11 +193,7 @@ def approx_schedule(g: Graph, k: int) -> ApproxResult:
     if k < 1:
         raise ValueError("spread factor must be positive")
     j, order = _search_lower_bound(g, k)
-    if order is None:
-        order = _greedy_scatter(g, j)
-        assert order is not None
-    members = list(order)
-    batches = [members[i:i + k] for i in range(0, len(members), k)]
+    batches = [order[i:i + k] for i in range(0, len(order), k)]
     # members are pairwise > 2j apart while batches span <= j rounds, so no
     # ignition can be preempted by propagation; the pad policy only tops up
     sched = Schedule(k, _run_rounds(g, k, batches, "pad")[3])

@@ -15,9 +15,11 @@ otherwise the later one is already burning when ignited.
 
 A lenient mode that tolerates undersized batches exists for exploratory
 use (fixed-source scheduling produces such round patterns); certificates
-in this package are always checked strictly.  Checking (``simulate``) and
-padding (``pad_schedule``) run one round loop, so ``completion_closed_form``,
-which shares no code with it, is the independent cross-check.
+in this package are always checked strictly.  Checking (``simulate``),
+padding (``pad_schedule``) and judging fixed-source orderings
+(``exact.ordering_feasible``) run one round loop, so
+``completion_closed_form``, which shares no code with it, is the one
+independent cross-check.
 """
 
 from __future__ import annotations

@@ -178,13 +178,11 @@ def _cmd_exact(args) -> int:
 def _cmd_schedule(args) -> int:
     g = _read_graph(args.graph)
     sources = _parse_ints(args.sources, "source")
+    inst = SchedulingInstance(g, tuple(sources), args.k)
     try:
-        inst = SchedulingInstance(g, tuple(sources), args.k)
         assignment = schedule_sources(
             inst, rounds=args.max_rounds, time_budget=args.time_budget
         )
-    except ValueError as e:
-        raise _fail_parse(str(e)) from e
     except UndeterminedError as e:
         raise _CliError(3, str(e)) from e
     rounds = args.max_rounds if args.max_rounds else -(-len(inst.sources) // args.k)
@@ -204,10 +202,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_gen_vc(args) -> int:
     g = _read_graph(args.graph)
-    try:
-        inst = build_vc_instance(g, args.k, args.q, connected=args.connected)
-    except ReductionError as e:
-        raise _fail_parse(str(e)) from e
+    inst = build_vc_instance(g, args.k, args.q, connected=args.connected)
     graph_path = f"{args.out}.graph.txt"
     meta_path = f"{args.out}.meta.json"
     Path(graph_path).write_text(serialize_graph(inst.gprime))
@@ -249,10 +244,7 @@ def _cmd_gen_sat(args) -> int:
 
 def _cmd_map_vc(args) -> int:
     g = _read_graph(args.graph)
-    try:
-        inst = load_vc_instance(g, _read_json(args.meta))
-    except ReductionError as e:
-        raise _fail_parse(str(e)) from e
+    inst = load_vc_instance(g, _read_json(args.meta))
     if (args.cover is None) == (args.schedule is None):
         raise _fail_parse("map-vc needs exactly one of --cover or --schedule")
     _emit("command", "map-vc")
@@ -284,10 +276,7 @@ def _cmd_map_vc(args) -> int:
 
 def _cmd_map_sat(args) -> int:
     g = _read_graph(args.graph)
-    try:
-        si = load_sat_instance(g, _read_json(args.meta))
-    except ReductionError as e:
-        raise _fail_parse(str(e)) from e
+    si = load_sat_instance(g, _read_json(args.meta))
     if (args.assignment is None) == (args.ordering is None):
         raise _fail_parse("map-sat needs exactly one of --assignment or --ordering")
     _emit("command", "map-sat")

@@ -206,28 +206,19 @@ def naive_oracle(g: Graph, k: int, rounds: int) -> bool:
     return step(0, 1)
 
 
-def _source_tables(inst: SchedulingInstance) -> dict[int, list[int | None]]:
-    return {s: bfs_distances(inst.graph, [s]).dist for s in inst.sources}
-
-
 def ordering_feasible(
     inst: SchedulingInstance, ordering: dict[int, int], rounds: int
 ) -> tuple[bool, str]:
     """Check a full round assignment: capacity, ignition order, coverage.
 
-    Every source must get a round in 1..rounds with at most k per round,
-    must still be unburnt when ignited (no earlier source within r'-r
-    hops), and every vertex must burn by the deadline.
+    Every source must get a round in 1..rounds with at most k per round.
+    The ordering is then run as a lenient schedule by ``simulate``, the
+    package's one round loop: every source must still be unburnt when
+    ignited, and every vertex must burn by the deadline.  The reason
+    names the first source found burnt at its ignition (earliest round,
+    then the ordering's order within a round), else the smallest vertex
+    that burns late or never.
     """
-    return _ordering_feasible(inst, ordering, rounds, _source_tables(inst))
-
-
-def _ordering_feasible(
-    inst: SchedulingInstance,
-    ordering: dict[int, int],
-    rounds: int,
-    tables: dict[int, list[int | None]],
-) -> tuple[bool, str]:
     if sorted(ordering) != list(inst.sources):
         return False, "ordering must assign exactly the instance sources"
     per_round: dict[int, int] = {}
@@ -237,21 +228,15 @@ def _ordering_feasible(
         per_round[r] = per_round.get(r, 0) + 1
         if per_round[r] > inst.k:
             return False, f"round {r} ignites more than k={inst.k} sources"
-    items = sorted(ordering.items(), key=lambda it: it[1])
-    for i, (s, r) in enumerate(items):
-        for sp, rp in items[:i]:
-            if rp == r:
-                continue
-            d = tables[sp][s]
-            if d is not None and rp + d <= r:
-                return False, f"source {s} is already burnt at round {r} (via {sp}@{rp})"
-    for v in range(inst.graph.n):
-        best = None
-        for s, r in ordering.items():
-            d = tables[s][v]
-            if d is not None and (best is None or r + d < best):
-                best = r + d
-        if best is None or best > rounds:
+    batches: list[list[int]] = [[] for _ in range(rounds)]
+    for s, r in ordering.items():
+        batches[r - 1].append(s)
+    report = simulate(inst.graph, Schedule(inst.k, batches), strict=False)
+    for v in report.violations:
+        if v.reason == "already burnt at ignition":
+            return False, f"source {v.vertex} is already burnt at round {v.round}"
+    for v, t in enumerate(report.burn_round):
+        if t is None or t > rounds:
             return False, f"vertex {v} does not burn by round {rounds}"
     return True, ""
 
@@ -279,8 +264,11 @@ def schedule_sources(
     spare capacity, the branch lives only if ``covered | suffix(i + 1,
     rounds - free)`` is every vertex (the suffix term counts only while
     ``free <= rounds``).  The same test on ``suffix(0, rounds - 1)``
-    rejects up front any vertex that no source reaches in time.  Every
-    witness is still checked in full by ``ordering_feasible``.
+    rejects up front any vertex that no source reaches in time.  The
+    per-source BFS tables behind the balls and the pairwise test serve
+    the pruning only: each leaf is judged by ``ordering_feasible``, which
+    runs the round loop, so every witness obeys the rules ``simulate``
+    checks.
 
     Raises UndeterminedError when ``time_budget`` (seconds) runs out
     before the search settles.
@@ -293,7 +281,7 @@ def schedule_sources(
     if rounds < 1:
         raise ValueError("round budget must be positive")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    tables = _source_tables(inst)
+    tables = {s: bfs_distances(inst.graph, [s]).dist for s in srcs}
     n = inst.graph.n
     k = inst.k
     full = (1 << n) - 1
@@ -338,7 +326,7 @@ def schedule_sources(
         if deadline is not None and time.monotonic() > deadline:
             raise UndeterminedError("time budget exhausted")
         if i == len(srcs):
-            ok, _ = _ordering_feasible(inst, dict(assigned), rounds, tables)
+            ok, _ = ordering_feasible(inst, dict(assigned), rounds)
             return ok
         s = srcs[i]
         for r in range(1, rounds + 1):

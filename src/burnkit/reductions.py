@@ -400,8 +400,8 @@ def assignment_to_schedule(si: SatInstance, assignment: dict[int, bool]) -> dict
     """Turn a satisfying assignment into a feasible 2n-round ignition ordering.
 
     The true literal of variable j ignites at round 2j-1, the false one at
-    2j.  The ordering is simulated before being returned and must burn the
-    whole instance within 2n rounds.
+    2j.  The ordering is judged by ``ordering_feasible`` before being
+    returned and must burn the whole instance within 2n rounds.
     """
     n = si.cnf.n_vars
     if sorted(assignment) != list(range(1, n + 1)):
@@ -414,11 +414,7 @@ def assignment_to_schedule(si: SatInstance, assignment: dict[int, bool]) -> dict
         first, second = (pos, neg) if assignment[j] else (neg, pos)
         ordering[first] = 2 * j - 1
         ordering[second] = 2 * j
-    batches: list[list[int]] = [[] for _ in range(2 * n)]
-    for v, r in ordering.items():
-        batches[r - 1].append(v)
-    report = simulate(si.inst.graph, Schedule(si.inst.k, batches), strict=False)
-    if not report.valid or report.completion_round > 2 * n:
+    if not ordering_feasible(si.inst, ordering, 2 * n)[0]:
         raise ReductionError("constructed ordering failed validation")  # pragma: no cover
     return ordering
 

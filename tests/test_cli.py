@@ -121,6 +121,47 @@ def test_schedule_command(capsys, tmp_path):
     assert err.splitlines()[0].startswith("error limit")
 
 
+VC_META_BAD_ROLES = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2,
+                     "connected": False, "roles": [["v", 0]]}
+
+
+@pytest.mark.parametrize("argv, meta, first_line", [
+    (["schedule", "--sources", "0,0"], None, "error parse sources must be distinct"),
+    (["schedule", "--sources", "0,9"], None, "error parse invalid source id 9"),
+    (["schedule", "--sources", "0,3", "--k", 0], None, "error parse spread factor must be positive"),
+    (["schedule", "--sources", "0,3", "--max-rounds", 0], None,
+     "error parse round budget must be positive"),
+    (["gen-vc", "--q", 9], None, "error parse q must be in 1..4, got 9"),
+    (["gen-vc", "--q", 2, "--k", 2, "--connected"], None,
+     "error parse connected variant requires k=1"),
+    (["map-vc", "--cover", "1"], {"kind": "sat-scheduling-instance"},
+     "error parse metadata is not a vc-burning instance"),
+    (["map-vc", "--cover", "1"], VC_META_BAD_ROLES, "error parse 1 roles for 4 vertices"),
+    (["map-sat", "--assignment", "1"], {"kind": "vc-burning-instance"},
+     "error parse metadata is not a sat-scheduling instance"),
+    (["map-sat", "--assignment", "1"],
+     {"kind": "sat-scheduling-instance", "n_vars": 2, "clauses": [[1, 2, 5]]},
+     "error parse literal 5 out of range for 2 variables"),
+    (["map-sat", "--assignment", "1"],
+     {"kind": "sat-scheduling-instance", "n_vars": 2, "clauses": [[1, 2]]},
+     "error parse clause (1, 2) does not have exactly 3 literals"),
+], ids=["schedule-duplicate", "schedule-range", "schedule-k0", "schedule-rounds0",
+        "gen-vc-q", "gen-vc-connected-k", "map-vc-kind", "map-vc-roles",
+        "map-sat-kind", "map-sat-literal", "map-sat-clause"])
+def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, argv, meta, first_line):
+    argv = [*argv, "--graph", p4]
+    if argv[0] == "gen-vc":
+        argv += ["--out", tmp_path / "vc"]
+    if meta is not None:
+        meta_file = tmp_path / "meta.json"
+        meta_file.write_text(json.dumps(meta))
+        argv += ["--meta", meta_file]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == first_line
+
+
 def test_vc_generation_and_mapping(capsys, tmp_path, p4):
     prefix = tmp_path / "vc"
     code, out, _ = run(capsys, "gen-vc", "--graph", p4, "--k", 1, "--q", 2, "--out", prefix)

@@ -208,6 +208,89 @@ def test_schedule_sources_matches_reference_on_random_graphs():
     assert verdicts == {True, False}
 
 
+def reference_ordering_feasible(inst, ordering, rounds):
+    """The ordering judge by distance formulas instead of simulation: a
+    source at round r is burnt at ignition when an earlier source at rp sits
+    within r - rp hops, and a vertex burns at min over sources of r + d."""
+    tables = {s: bfs_distances(inst.graph, [s]).dist for s in inst.sources}
+    if sorted(ordering) != list(inst.sources):
+        return False, "ordering must assign exactly the instance sources"
+    per_round: dict[int, int] = {}
+    for s, r in ordering.items():
+        if not (1 <= r <= rounds):
+            return False, f"source {s} assigned round {r} outside 1..{rounds}"
+        per_round[r] = per_round.get(r, 0) + 1
+        if per_round[r] > inst.k:
+            return False, f"round {r} ignites more than k={inst.k} sources"
+    items = sorted(ordering.items(), key=lambda it: it[1])
+    for i, (s, r) in enumerate(items):
+        for sp, rp in items[:i]:
+            if rp == r:
+                continue
+            d = tables[sp][s]
+            if d is not None and rp + d <= r:
+                return False, f"source {s} is already burnt at round {r} (via {sp}@{rp})"
+    for v in range(inst.graph.n):
+        best = None
+        for s, r in ordering.items():
+            d = tables[s][v]
+            if d is not None and (best is None or r + d < best):
+                best = r + d
+        if best is None or best > rounds:
+            return False, f"vertex {v} does not burn by round {rounds}"
+    return True, ""
+
+
+def random_orderings(rng, inst, rounds):
+    """Orderings of every kind: the search's witness, in-range rounds,
+    rounds one past either end, and a source dropped or a stranger added;
+    keys are inserted in random order, which decides ties within a round."""
+    srcs = list(inst.sources)
+    witness = schedule_sources(inst, rounds)
+    if witness is not None:
+        yield witness
+    for _ in range(6):
+        lo, hi = (0, rounds + 1) if rng.random() < 0.2 else (1, rounds)
+        pairs = [(s, rng.randint(lo, hi)) for s in srcs]
+        if rng.random() < 0.05:
+            pairs.pop(rng.randrange(len(pairs)))
+        elif rng.random() < 0.05:
+            pairs.append((rng.choice([v for v in range(inst.graph.n + 1) if v not in srcs]), 1))
+        rng.shuffle(pairs)
+        yield dict(pairs)
+
+
+ORDERING_REASONS = ("exactly the instance sources", "outside 1..", "more than k=", "already burnt")
+
+
+def test_ordering_feasible_matches_distance_formulas():
+    rng = random.Random(63)
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        if rng.random() < 0.3:  # possibly disconnected: unreachable vertices
+            g = random_graph(rng, n, 0.25)
+        else:
+            g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n // 2))
+        inst = SchedulingInstance(g, tuple(rng.sample(range(n), rng.randint(1, min(n, 6)))),
+                                  rng.choice([1, 2, 3]))
+        rounds = rng.randint(1, 6)
+        for ordering in random_orderings(rng, inst, rounds):
+            got = ordering_feasible(inst, ordering, rounds)
+            ok, why = reference_ordering_feasible(inst, ordering, rounds)
+            assert got == (ok, why.split(" (via ")[0]), (g.adj, inst.sources, inst.k, ordering)
+            if ok:
+                adjacent = any(ordering.get(v) == r for u, r in ordering.items() for v in g.adj[u])
+                kinds.add("same-round neighbours" if adjacent else "feasible")
+            elif why.startswith("vertex"):
+                reach = bfs_distances(g, list(ordering)).dist[int(why.split()[1])]
+                kinds.add("unreachable vertex" if reach is None else "late vertex")
+            else:
+                kinds.add(next(key for key in ORDERING_REASONS if key in why))
+    assert kinds == {"feasible", "same-round neighbours", "unreachable vertex", "late vertex",
+                     *ORDERING_REASONS}
+
+
 # (n, m, (b, witness rounds) at k = 1, the same at k = 2), drawn in order
 # from random.Random(2020) by random_connected_graph
 PINNED_EXACT = [
