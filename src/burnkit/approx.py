@@ -11,11 +11,16 @@ the burning number from below, and igniting M(j) burns everything within
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from math import log
 
 from .burning import Schedule, _run_rounds, simulate
 from .graph import Graph
+
+
+class UndeterminedError(RuntimeError):
+    """Search gave up before settling on a value (round or time bound hit)."""
 
 
 @dataclass
@@ -88,11 +93,15 @@ def mis_power(g: Graph, r: int) -> MisResult:
     return MisResult(r, frozenset(order), tuple(order))
 
 
-def _search_lower_bound(g: Graph, k: int) -> tuple[int, list[int]]:
+def _search_lower_bound(
+    g: Graph, k: int, deadline: float | None = None
+) -> tuple[int, list[int]]:
     """Smallest j with |M(j)| <= k*j, plus the pick order at j.
 
     Every j the search settles on is a successful probe, so its order
-    is always recorded.
+    is always recorded.  With a ``deadline`` (``time.monotonic()``
+    seconds) UndeterminedError is raised before any probe that would
+    start after it.
 
     Galloping brackets the answer with cheap early-exit probes; the
     bracket is then closed by bisection steps whose probe points come from
@@ -107,6 +116,8 @@ def _search_lower_bound(g: Graph, k: int) -> tuple[int, list[int]]:
     orders: dict[int, list[int]] = {}
 
     def probe(j: int, cap: int | None) -> bool:
+        if deadline is not None and time.monotonic() > deadline:
+            raise UndeterminedError("time budget exhausted")
         order = _greedy_scatter(g, j, limit=cap)
         if order is None:
             return False

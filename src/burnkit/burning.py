@@ -17,7 +17,8 @@ A lenient mode that tolerates undersized batches exists for exploratory
 use (fixed-source scheduling produces such round patterns); certificates
 in this package are always checked strictly.  Checking (``simulate``),
 padding (``pad_schedule``) and judging fixed-source orderings
-(``exact.ordering_feasible``) run one round loop, so
+(``exact.ordering_feasible``, which certifies each witness the scheduler's
+distance-based search returns) run one round loop, so
 ``completion_closed_form``, which shares no code with it, is the one
 independent cross-check.
 """

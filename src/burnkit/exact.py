@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from .approx import lower_bound
+from .approx import UndeterminedError, _search_lower_bound
 from .burning import Schedule, _run_rounds, simulate
-from .graph import Graph, bfs_distances
-
-
-class UndeterminedError(RuntimeError):
-    """Search gave up before settling on a value (round or time bound hit)."""
+from .graph import Graph
 
 
 @dataclass
@@ -46,23 +42,38 @@ class SchedulingInstance:
         self.sources = tuple(srcs)
 
 
+def _bfs_order(g: Graph, s: int, max_depth: int | None = None) -> tuple[list[int], list[int]]:
+    """Vertices within ``max_depth`` hops of s in BFS visit order, with their hop counts."""
+    adj = g.adj
+    seen = [False] * g.n
+    seen[s] = True
+    order = [s]
+    hops = [0]
+    for x, d in zip(order, hops):  # both lists grow while the loop reads them
+        if d == max_depth:
+            break
+        d += 1
+        for u in adj[x]:
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                hops.append(d)
+    return order, hops
+
+
 def _ball_masks(g: Graph, max_radius: int, deadline: float | None) -> list[list[int]]:
     """ball[v][d] = bitmask of vertices within d hops of v, d = 0..max_radius."""
     masks: list[list[int]] = []
     for v in range(g.n):
         if deadline is not None and time.monotonic() > deadline:
             raise UndeterminedError("time budget exhausted")
-        dist = bfs_distances(g, [v]).dist
         row = [0] * (max_radius + 1)
         acc = 0
-        by_d: list[list[int]] = [[] for _ in range(max_radius + 1)]
-        for u, d in enumerate(dist):
-            if d is not None and d <= max_radius:
-                by_d[d].append(u)
-        for d in range(max_radius + 1):
-            for u in by_d[d]:
-                acc |= 1 << u
+        for u, d in zip(*_bfs_order(g, v, max_radius)):
+            acc |= 1 << u
             row[d] = acc
+        for d in range(1, max_radius + 1):
+            row[d] |= row[d - 1]  # radii past the farthest vertex keep the whole ball
         masks.append(row)
     return masks
 
@@ -76,20 +87,20 @@ def exact_burning_number(
     """Optimal round count plus a strict-valid witness schedule.
 
     Iterative deepening on the round budget L, anchored at the certified
-    lower bound j.  Each depth runs a DFS over per-round batches in
-    ascending-id order (so the witness is canonical): candidates are
-    restricted to vertices whose radius-(L-r) ball still covers something
-    new.  A child batch is judged in its parent's loop before any call is
-    made: a batch that covers everything ends the search, and one whose
-    uncovered count exceeds what the remaining rounds could possibly
-    cover (k times the largest ball, summed over those rounds) is skipped.
-    Balls are bitmasks precomputed up to radius 3j, since the
-    approximation burns everything within 3j rounds.  At desk scale that
-    settles k = 1 on 50 vertices and k = 2 on 40 well under a second.
+    lower bound j.  Each depth runs a DFS over per-round batches, taken in
+    ``combinations`` order over ascending ids (so the witness is
+    canonical) among vertices whose radius-(L-r) ball still covers
+    something new.  A batch that covers everything ends the search; one
+    must otherwise cover ``need`` vertices, all but what the later rounds
+    could (k times the largest ball each).  The enumeration carries the
+    union of each batch prefix and skips every extension of a prefix whose
+    count plus (slots left) times the largest ball is below ``need``.
+    Balls are bitmasks built from one BFS per vertex, truncated at radius
+    3j, since the approximation burns everything within 3j rounds.
 
     Raises UndeterminedError when ``max_rounds`` or ``time_budget`` is
-    exhausted first, the precomputation included; never returns a wrong
-    number.
+    exhausted first, the lower-bound probes and the precomputation
+    included; never returns a wrong number.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -98,7 +109,7 @@ def exact_burning_number(
     n = g.n
     full = (1 << n) - 1
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    start_l = lower_bound(g, k)
+    start_l = _search_lower_bound(g, k, deadline)[0]
     top = 3 * start_l  # b <= 3j: the approximation completes within 3j rounds
     ball = _ball_masks(g, top, deadline)
     maxball = [max(ball[v][d].bit_count() for v in range(n)) for d in range(top + 1)]
@@ -110,26 +121,36 @@ def exact_burning_number(
             cap[r] = cap[r + 1] + k * maxball[limit - r]
 
         def dfs(r: int, covered: int, acc: list[list[int]]) -> list[list[int]] | None:
-            # only children that are neither complete nor over capacity get here
+            # only batches that are neither complete nor short of need get here
             if deadline is not None and time.monotonic() > deadline:
                 raise UndeterminedError("time budget exhausted")
             uncovered = full & ~covered
             radius = limit - r
             cands = [v for v in range(n) if ball[v][radius] & uncovered]
+            masks = [ball[v][radius] for v in cands]
             take = min(k, len(cands))
-            need = n - cap[r + 1]  # a child covering fewer cannot finish in time
-            for batch in combinations(cands, take):
-                cov = covered
-                for v in batch:
-                    cov |= ball[v][radius]
-                if cov == full:
-                    return acc + [list(batch)]
-                if cov.bit_count() < need:
-                    continue
-                found = dfs(r + 1, cov, acc + [list(batch)])
-                if found is not None:
-                    return found
-            return None
+            need = n - cap[r + 1]  # a batch covering fewer cannot finish in time
+            big = maxball[radius]
+
+            def extend(start: int, batch: list[int], cov: int) -> list[list[int]] | None:
+                # cov is the union of the prefix batch, with take - len(batch) slots left
+                left = take - len(batch)
+                floor = need - (left - 1) * big
+                for i in range(start, len(cands) - left + 1):
+                    grown = cov | masks[i]
+                    if grown.bit_count() < floor:
+                        continue
+                    if left > 1:
+                        found = extend(i + 1, batch + [cands[i]], grown)
+                    elif grown == full:
+                        return acc + [batch + [cands[i]]]
+                    else:
+                        found = dfs(r + 1, grown, acc + [batch + [cands[i]]])
+                    if found is not None:
+                        return found
+                return None
+
+            return extend(0, [], covered)
 
         return dfs(1, 0, []) if n <= cap[1] else None
 
@@ -255,20 +276,21 @@ def schedule_sources(
     and an optimistic completion bound that places every unassigned source
     at the earliest round with spare capacity.
 
-    The bound is one bitmask comparison per node.  ``ball(i, d)`` is the
-    set of vertices within d hops of the i-th source and ``suffix(i, d)``
-    the union of those balls over sources i onwards, each built the first
-    time the search asks for it.  The search carries ``covered``, the
-    union of ``ball(i, rounds - r)`` over the assigned (source, round)
-    pairs.  After placing source i, with ``free`` the earliest round with
-    spare capacity, the branch lives only if ``covered | suffix(i + 1,
-    rounds - free)`` is every vertex (the suffix term counts only while
-    ``free <= rounds``).  The same test on ``suffix(0, rounds - 1)``
-    rejects up front any vertex that no source reaches in time.  The
-    per-source BFS tables behind the balls and the pairwise test serve
-    the pruning only: each leaf is judged by ``ordering_feasible``, which
-    runs the round loop, so every witness obeys the rules ``simulate``
-    checks.
+    One BFS per source lists the vertices it reaches in visit order with
+    their hop counts; those lists give the pairwise distances and the
+    balls.  ``ball(i, d)`` (the vertices within d hops of the i-th source)
+    and ``suffix(i, d)`` (the union of those balls over sources i onwards)
+    are bitmasks built only for the (i, d) the search asks for.  The
+    search carries ``covered``, the union of ``ball(i, rounds - r)`` over
+    the assigned (source, round) pairs.  After placing source i, with
+    ``free`` the earliest round with spare capacity, the branch lives only
+    if ``covered | suffix(i + 1, rounds - free)`` is every vertex (the
+    suffix term counts only while ``free <= rounds``).  At a leaf these
+    tests are exact: fire starts only at sources, so with every ignition
+    valid each vertex burns at the least round plus distance over the
+    sources.  The returned witness is certified once by
+    ``ordering_feasible``, which runs the round loop, and RuntimeError is
+    raised should it disagree: no witness is returned unchecked.
 
     Raises UndeterminedError when ``time_budget`` (seconds) runs out
     before the search settles.
@@ -281,19 +303,15 @@ def schedule_sources(
     if rounds < 1:
         raise ValueError("round budget must be positive")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    tables = {s: bfs_distances(inst.graph, [s]).dist for s in srcs}
     n = inst.graph.n
     k = inst.k
     full = (1 << n) - 1
 
-    # the vertices each source reaches, nearest first, with their distances
-    order: list[list[int]] = []
-    hops: list[list[int]] = []
-    for s in srcs:
-        dist = tables[s]
-        near = sorted((v for v in range(n) if dist[v] is not None), key=dist.__getitem__)
-        order.append(near)
-        hops.append([dist[v] for v in near])
+    # each source's one BFS: the vertices it reaches nearest first, their
+    # hop counts, and gap[j][i], the hops between sources j and i (rounds
+    # when farther, a gap no two rounds in 1..rounds span)
+    order, hops = zip(*(_bfs_order(inst.graph, s, rounds - 1) for s in srcs))
+    gap = [[at.get(t, rounds) for t in srcs] for at in map(dict, map(zip, order, hops))]
 
     # masks are built on first use: a table of every radius would take
     # |S|*rounds*n bits up front, while a search builds only those it asks for
@@ -314,7 +332,7 @@ def schedule_sources(
         return None
 
     capacity = [0] * (rounds + 1)
-    assigned: dict[int, int] = {}
+    when: list[int] = []  # when[j] = round of source j, for the sources placed so far
 
     def earliest_free_round() -> int:
         for r in range(1, rounds + 1):
@@ -326,23 +344,15 @@ def schedule_sources(
         if deadline is not None and time.monotonic() > deadline:
             raise UndeterminedError("time budget exhausted")
         if i == len(srcs):
-            ok, _ = ordering_feasible(inst, dict(assigned), rounds)
-            return ok
-        s = srcs[i]
-        for r in range(1, rounds + 1):
+            return True  # covered == full, or the bound would have cut this branch
+        # the later of two sources d hops apart burns before its round
+        # unless their rounds differ by less than d
+        lo = max([1] + [rp - d + 1 for d, rp in zip(gap[i], when)])
+        hi = min([rounds] + [rp + d - 1 for d, rp in zip(gap[i], when)])
+        for r in range(lo, hi + 1):
             if capacity[r] >= k:
                 continue
-            conflict = False
-            for sp, rp in assigned.items():
-                d = tables[sp][s]  # hop distances are symmetric
-                # the later of two sources burns before its round if the
-                # earlier one is within the gap between their rounds
-                if rp != r and d is not None and d <= abs(r - rp):
-                    conflict = True
-                    break
-            if conflict:
-                continue
-            assigned[s] = r
+            when.append(r)
             capacity[r] += 1
             now = covered | ball(i, rounds - r)
             free = earliest_free_round()
@@ -350,9 +360,13 @@ def schedule_sources(
             if now | later == full and place(i + 1, now):
                 return True
             capacity[r] -= 1
-            del assigned[s]
+            when.pop()
         return False
 
-    if place(0, 0):
-        return dict(sorted(assigned.items()))
-    return None
+    if not place(0, 0):
+        return None
+    witness = dict(zip(srcs, when))
+    ok, why = ordering_feasible(inst, witness, rounds)
+    if not ok:
+        raise RuntimeError(f"search returned an ordering the round engine rejects: {why}")
+    return witness

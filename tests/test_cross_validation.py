@@ -1,7 +1,7 @@
 """Independent re-implementations pitted against the production code paths."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +15,15 @@ from burnkit import (
     build_sat_instance,
     build_vc_instance,
     exact_burning_number,
+    lower_bound,
     ordering_feasible,
     schedule_sources,
     schedule_to_vc,
     simulate,
     vc_to_schedule,
 )
+
+from burnkit.burning import _run_rounds
 
 from .strategies import (
     brute_force_min_cover,
@@ -315,6 +318,70 @@ def test_exact_witnesses_are_pinned():
         for k, (b, rounds) in enumerate(by_k, start=1):
             got_b, witness = exact_burning_number(g, k)
             assert (got_b, witness.rounds) == (b, rounds), (n, m, k)
+
+
+def reference_exact_burning_number(g, k):
+    """The exact solver as it was before its batch enumeration pruned by
+    prefix: every child batch of a node is built in full from
+    ``combinations`` and judged on its own, and each ball row comes from
+    a full distance table per vertex."""
+    n = g.n
+    full = (1 << n) - 1
+    start_l = lower_bound(g, k)
+    top = 3 * start_l
+    ball = []
+    for v in range(n):
+        dist = bfs_distances(g, [v]).dist
+        ball.append([sum(1 << u for u, d in enumerate(dist) if d is not None and d <= r)
+                     for r in range(top + 1)])
+    maxball = [max(ball[v][d].bit_count() for v in range(n)) for d in range(top + 1)]
+
+    def try_depth(limit):
+        cap = [0] * (limit + 2)
+        for r in range(limit, 0, -1):
+            cap[r] = cap[r + 1] + k * maxball[limit - r]
+
+        def dfs(r, covered, acc):
+            uncovered = full & ~covered
+            radius = limit - r
+            cands = [v for v in range(n) if ball[v][radius] & uncovered]
+            need = n - cap[r + 1]
+            for batch in combinations(cands, min(k, len(cands))):
+                cov = covered
+                for v in batch:
+                    cov |= ball[v][radius]
+                if cov == full:
+                    return acc + [list(batch)]
+                if cov.bit_count() < need:
+                    continue
+                found = dfs(r + 1, cov, acc + [list(batch)])
+                if found is not None:
+                    return found
+            return None
+
+        return dfs(1, 0, []) if n <= cap[1] else None
+
+    depth = start_l
+    while (batches := try_depth(depth)) is None:
+        depth += 1
+    return depth, Schedule(k, _run_rounds(g, k, batches, "pad")[3])
+
+
+def test_exact_matches_reference_search():
+    rng = random.Random(64)
+    ks = set()
+    for _ in range(60):
+        n = rng.randint(8, 14)
+        if rng.random() < 0.25:  # possibly disconnected
+            g = random_graph(rng, n, 0.25)
+        else:
+            g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n // 2))
+        k = rng.choice([1, 2, 3])  # k = 3 takes the prefix bound to depth 2
+        b, witness = exact_burning_number(g, k)
+        ref_b, ref_witness = reference_exact_burning_number(g, k)
+        assert (b, witness.rounds) == (ref_b, ref_witness.rounds), (g.adj, k)
+        ks.add(k)
+    assert ks == {1, 2, 3}
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from burnkit import (
     Cnf3,
     SchedulingInstance,
     UndeterminedError,
+    approx,
     build_sat_instance,
     complete_graph,
+    exact,
     exact_burning_number,
     graph_from_edges,
     grid_graph,
@@ -94,6 +97,22 @@ def test_exact_budget_covers_precomputation():
     assert time.monotonic() - t0 < 1.5
 
 
+def test_exact_budget_covers_lower_bound_probes(monkeypatch):
+    # the lower-bound search checks the deadline before each probe, so a
+    # spent budget stops it after at most one probe, not a whole search
+    probes = []
+    scatter = approx._greedy_scatter
+
+    def counted(*args, **kwargs):
+        probes.append(args[1])
+        return scatter(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "_greedy_scatter", counted)
+    with pytest.raises(UndeterminedError):
+        exact_burning_number(path_graph(300_000), 1, time_budget=0.0)
+    assert len(probes) <= 1
+
+
 def test_schedule_sources_respects_time_budget():
     cnf = Cnf3(5, ((1, 2, 3), (-1, 4, 5), (-2, -3, -4), (1, -5, 3), (2, -4, 5)))
     inst = build_sat_instance(cnf).inst
@@ -163,6 +182,30 @@ def test_schedule_sources_witness_is_feasible(g, data):
     if result is not None:
         ok, why = ordering_feasible(inst, result, rounds)
         assert ok, why
+
+
+def test_schedule_sources_certifies_its_witness(monkeypatch):
+    # the search trusts its own leaf tests; the round engine has the last word
+    cnf = Cnf3(3, ((1, 2, 3), (-1, 2, -3)))
+    inst = build_sat_instance(cnf).inst
+    assert schedule_sources(inst, 6) is not None
+    monkeypatch.setattr(exact, "ordering_feasible", lambda *args: (False, "rejected"))
+    with pytest.raises(RuntimeError, match="rejected"):
+        schedule_sources(inst, 6)
+
+
+def test_schedule_sources_memory_on_a_long_path():
+    # building only the masks the search asks for peaks near 3.3 MB on this
+    # path; growing every source's masks radius by radius peaks near 19 MB,
+    # a cost that grows with the square of the path length
+    inst = SchedulingInstance(path_graph(8000), (0, 4000, 7999), 1)
+    tracemalloc.start()
+    try:
+        assert schedule_sources(inst, 8000) == {0: 1, 4000: 2, 7999: 3}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.6e6, peak
 
 
 def test_exact_on_disconnected_components():
