@@ -7,6 +7,13 @@ process finishing in t rounds leaves a dominating set of size <= k*t in
 the t-th power.  The smallest index j with |M(j)| <= k*j therefore bounds
 the burning number from below, and igniting M(j) burns everything within
 3j rounds.
+
+Each probe of the search for j is a greedy scan that stops at the
+(kj+1)-th pick and returns the truncated pick order.  Once a failed scan
+has passed 1/16 of the ids, that share turns its pick count into a trusted
+estimate of |M(j)|.  A power law through two sizes guesses j, and a guess
+that holds is confirmed by a failing probe just below it, so on large
+graphs only the two probes that bound j scan nearly all of it.
 """
 
 from __future__ import annotations
@@ -44,13 +51,18 @@ class ApproxResult:
     completion: int
 
 
-def _greedy_scatter(g: Graph, r: int, limit: int | None = None) -> list[int] | None:
+def _greedy_scatter(
+    g: Graph, r: int, limit: int | None = None, deadline: float | None = None
+) -> list[int]:
     """Greedy pick order for mis_power; truncated BFS marks 2r-hop balls.
 
-    When ``limit`` is given, returns None as soon as the pick count exceeds
-    it (used as an early-exit size predicate).  A vertex visited at depth d
-    is never re-expanded from depth >= d: the earlier visit had at least as
-    much remaining budget, so nothing new is reachable.
+    When ``limit`` is given, the scan stops at the pick that exceeds it
+    and returns the truncated order of ``limit + 1`` picks; its last id
+    shows how far the scan got.  With a ``deadline``
+    (``time.monotonic()`` seconds) the clock is read once per pick and
+    UndeterminedError is raised once it has passed.  A vertex visited at
+    depth d is never re-expanded from depth >= d: the earlier visit had
+    at least as much remaining budget, so nothing new is reachable.
     """
     n = g.n
     adj = g.adj
@@ -61,9 +73,11 @@ def _greedy_scatter(g: Graph, r: int, limit: int | None = None) -> list[int] | N
     for v in range(n):
         if depth[v] <= budget:
             continue
+        if deadline is not None and time.monotonic() > deadline:
+            raise UndeterminedError("time budget exhausted")
         order.append(v)
         if limit is not None and len(order) > limit:
-            return None
+            return order
         depth[v] = 0
         frontier = [v]
         d = 0
@@ -89,8 +103,12 @@ def mis_power(g: Graph, r: int) -> MisResult:
     if r < 1:
         raise ValueError("radius must be positive")
     order = _greedy_scatter(g, r)
-    assert order is not None
     return MisResult(r, frozenset(order), tuple(order))
+
+
+# a failed probe's size estimate counts once its scan has passed 1/_TRUST
+# of the ids; short scans extrapolate a few rows of a grid to the whole
+_TRUST = 16
 
 
 def _search_lower_bound(
@@ -98,83 +116,95 @@ def _search_lower_bound(
 ) -> tuple[int, list[int]]:
     """Smallest j with |M(j)| <= k*j, plus the pick order at j.
 
-    Every j the search settles on is a successful probe, so its order
-    is always recorded.  With a ``deadline`` (``time.monotonic()``
-    seconds) UndeterminedError is raised before any probe that would
-    start after it.
+    The probe at j stops once it holds k*j + 1 picks.  One that holds
+    fewer has found all of M(j), and its size is exact.  A failed probe
+    returns its truncated order; when its last pick has id x - 1 with
+    x >= n/16, picks * n / x is a trusted estimate of |M(j)|.
 
-    Galloping brackets the answer with cheap early-exit probes; the
-    bracket is then closed by bisection steps whose probe points come from
-    a power-law fit of the exact set sizes seen so far (every refinement
-    probe runs far enough to record its size).  Model guesses are capped
-    at two in a row before a plain midpoint, so the probe count never
-    exceeds a constant factor of the binary-search one; the result is
-    identical under the size-monotonicity assumption either way.
+    The search gallops through radii 1, 2, 4, ... until it holds two
+    sizes.  A power law |M(j)| = c * j**-d through the two sizes next to
+    the bracket (else the two widest radii) predicts where |M(j)| meets
+    k*j.  That guess is probed as soon as it falls below the next
+    doubling, or inside the bracket once a probe has held.  When a guess
+    g holds, the next probe is g - 1, which settles j = g if it fails.
+    After two guesses in a row the search takes a plain doubling or
+    midpoint, so the probe count stays within a constant factor of a
+    binary search.  Every j it settles on is a successful probe with a
+    failed one at j - 1 (or j = 1), so under the assumption that the
+    greedy set sizes shrink as the radius grows the answer is the same
+    as any bisection's.  With a ``deadline`` (``time.monotonic()``
+    seconds) every probe reads the clock once per pick and raises
+    UndeterminedError once it has passed.
     """
     n = g.n
-    sizes: dict[int, int] = {}
-    orders: dict[int, list[int]] = {}
+    sizes: dict[int, float] = {}
+    found: dict[int, list[int]] = {}
 
-    def probe(j: int, cap: int | None) -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            raise UndeterminedError("time budget exhausted")
-        order = _greedy_scatter(g, j, limit=cap)
-        if order is None:
-            return False
-        sizes[j] = len(order)
-        orders[j] = order
-        return len(order) <= k * j
+    def probe(j: int) -> bool:
+        order = _greedy_scatter(g, j, k * j, deadline)
+        if len(order) <= k * j:
+            sizes[j] = len(order)
+            found[j] = order
+            return True
+        scanned = order[-1] + 1
+        if scanned * _TRUST >= n:
+            sizes[j] = len(order) * n / scanned
+        return False
 
-    if probe(1, k):
-        return 1, orders[1]
-    lo = 1
-    hi = 2
-    while hi < n and not probe(hi, k * hi):
-        lo = hi
-        hi *= 2
-    hi = min(hi, n)
-    if hi not in sizes:
-        # gallop was clamped at n, where the predicate always holds
-        # (one member per connected component)
-        ok = probe(hi, None)
-        assert ok
+    def model(lo: int, hi: int | None) -> int | None:
+        # fit the two sizes next to the bracket, else the two widest radii
+        a = max((j for j in sizes if j <= lo), default=None)
+        b = hi  # a probe that held has an exact size
+        if a is None or b is None:
+            pts = sorted(sizes)
+            if len(pts) < 2:
+                return None
+            a, b = pts[-2], pts[-1]
+        if not sizes[a] > sizes[b] > 0:
+            return None
+        d = log(sizes[a] / sizes[b]) / log(b / a)
+        if not 0.1 < d < 16.0:
+            return None
+        c = sizes[a] * (a ** d)
+        guess = max(round((c / k) ** (1.0 / (d + 1.0))), lo + 1)
+        return guess if hi is None else min(guess, hi - 1)
 
-    streak = 0
-    while lo + 1 < hi:
-        guess = None
-        if streak < 2:
-            a = max((j for j in sizes if j <= lo), default=None)
-            b = min((j for j in sizes if j >= hi), default=None)
-            if a is None or b is None or a == b:
-                pts = sorted(sizes)
-                if len(pts) >= 2:
-                    a, b = pts[-2], pts[-1]
-            if a is not None and b is not None and a != b and sizes[a] > sizes[b] > 0:
-                d = log(sizes[a] / sizes[b]) / log(b / a)
-                if 0.1 < d < 16.0:
-                    c = sizes[a] * (a ** d)
-                    jh = round((c / k) ** (1.0 / (d + 1.0)))
-                    guess = min(max(jh, lo + 1), hi - 1)
-        if guess is None:
-            mid = (lo + hi) // 2
-            streak = 0
-        else:
+    if probe(1):
+        return 1, found[1]
+    lo, hi = 1, None
+    guesses = 0  # model guesses in a row
+    while hi is None or lo + 1 < hi:
+        top = min(2 * lo, n) if hi is None else hi
+        guess = model(lo, hi) if guesses < 2 else None
+        if guess is not None and guess < top:
+            guesses += 1
             mid = guess
-            streak += 1
-        if probe(mid, 4 * k * mid):
-            hi = mid
         else:
+            guess, guesses = None, 0
+            mid = top if hi is None else (lo + hi) // 2
+        if not probe(mid):
             lo = mid
-    return hi, orders[hi]
+            continue
+        hi = mid
+        if mid == guess and mid - 1 > lo:
+            # confirm a guess that held by a probe just below it
+            if probe(mid - 1):
+                hi = mid - 1
+            else:
+                lo = mid - 1
+    return hi, found[hi]
 
 
 def lower_bound(g: Graph, k: int, verify_linear: bool = False) -> int:
     """Smallest index j with |M(j)| <= k*j; a certified floor on b_k.
 
-    The search assumes the greedy set sizes shrink as the radius grows
-    (the predicate is always true at j = n, where the members are one per
-    component).  With ``verify_linear`` the predicate is re-evaluated at
-    every j' < j and a violation of the monotonicity assumption raises
+    The search extrapolates the greedy set sizes, exact ones and those
+    that failed probes estimate from their truncated pick orders, and
+    confirms a guessed j by a failed probe at j - 1.  It assumes the sizes
+    shrink as the radius grows (the predicate is always true at j = n,
+    where the members are one per component).  With ``verify_linear`` the
+    predicate is re-evaluated at every j' < j, each probe stopping at
+    k*j' + 1 picks, and a violation of the monotonicity assumption raises
     instead of returning a bad bound.
     """
     if g.n < 1:
@@ -184,7 +214,7 @@ def lower_bound(g: Graph, k: int, verify_linear: bool = False) -> int:
     j, _ = _search_lower_bound(g, k)
     if verify_linear:
         for jp in range(1, j):
-            if _greedy_scatter(g, jp, limit=k * jp) is not None:
+            if len(_greedy_scatter(g, jp, limit=k * jp)) <= k * jp:
                 raise RuntimeError(
                     f"greedy set size is not monotone in the radius: |M({jp})| <= {k * jp} "
                     f"although the search settled on j={j}"

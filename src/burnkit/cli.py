@@ -279,14 +279,15 @@ def _cmd_map_sat(args) -> int:
     si = load_sat_instance(g, _read_json(args.meta))
     if (args.assignment is None) == (args.ordering is None):
         raise _fail_parse("map-sat needs exactly one of --assignment or --ordering")
+    if args.assignment is not None:
+        lits = _parse_ints(args.assignment, "assignment")
+        if sorted(map(abs, lits)) != list(range(1, si.cnf.n_vars + 1)):
+            raise _fail_parse("assignment must mention each variable exactly once")
+        assignment = {abs(l): l > 0 for l in lits}
     _emit("command", "map-sat")
     _emit("graph", args.graph)
     _emit("meta", args.meta)
     if args.assignment is not None:
-        lits = _parse_ints(args.assignment, "assignment")
-        assignment = {abs(l): l > 0 for l in lits}
-        if sorted(assignment) != list(range(1, si.cnf.n_vars + 1)):
-            raise _fail_parse("assignment must mention each variable exactly once")
         try:
             ordering = assignment_to_schedule(si, assignment)
         except ReductionError as e:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from burnkit import (
     Graph,
+    approx,
     approx_schedule,
     bfs_distances,
     complete_graph,
@@ -81,6 +82,27 @@ def test_lower_bound_matches_linear_scan():
                 jj for jj in range(1, n + 1) if len(_greedy_scatter(g, jj)) <= k * jj
             )
             assert j == smallest
+
+
+@pytest.mark.parametrize("make, k, most", [
+    (lambda: grid_graph(300, 300), 1, 5),
+    (lambda: grid_graph(300, 300), 2, 4),
+    (lambda: path_graph(90_000), 1, 3),
+    (lambda: path_graph(90_000), 2, 3),
+], ids=["grid-k1", "grid-k2", "path-k1", "path-k2"])
+def test_lower_bound_search_probes_few_radii_near_the_answer(monkeypatch, make, k, most):
+    # probes past j/2 scan most of the graph; a gallop closed by bisection
+    # makes 7, 5, 5 and 5 of them on these graphs
+    radii = []
+    scatter = approx._greedy_scatter
+
+    def counted(g, r, *args, **kwargs):
+        radii.append(r)
+        return scatter(g, r, *args, **kwargs)
+
+    monkeypatch.setattr(approx, "_greedy_scatter", counted)
+    j, _ = approx._search_lower_bound(make(), k)
+    assert sum(r > j / 2 for r in radii) <= most, radii
 
 
 def test_approx_examples():

@@ -123,6 +123,11 @@ def test_schedule_command(capsys, tmp_path):
 
 VC_META_BAD_ROLES = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2,
                      "connected": False, "roles": [["v", 0]]}
+# a well-formed two-variable instance over the 4-vertex path
+SAT_META_P4 = {"kind": "sat-scheduling-instance", "n_vars": 2, "clauses": [[1, 2, -1]],
+               "sources": [0, 1, 2, 3], "k": 1,
+               "literal_vertex": {"1": 0, "-1": 1, "2": 2, "-2": 3},
+               "clause_vertex": [3], "top_end": {"1": 0, "-1": 1, "2": 2, "-2": 3}}
 
 
 @pytest.mark.parametrize("argv, meta, first_line", [
@@ -145,9 +150,11 @@ VC_META_BAD_ROLES = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2,
     (["map-sat", "--assignment", "1"],
      {"kind": "sat-scheduling-instance", "n_vars": 2, "clauses": [[1, 2]]},
      "error parse clause (1, 2) does not have exactly 3 literals"),
+    (["map-sat", "--assignment", "1,-1,2"], SAT_META_P4,
+     "error parse assignment must mention each variable exactly once"),
 ], ids=["schedule-duplicate", "schedule-range", "schedule-k0", "schedule-rounds0",
         "gen-vc-q", "gen-vc-connected-k", "map-vc-kind", "map-vc-roles",
-        "map-sat-kind", "map-sat-literal", "map-sat-clause"])
+        "map-sat-kind", "map-sat-literal", "map-sat-clause", "map-sat-repeated-variable"])
 def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, argv, meta, first_line):
     argv = [*argv, "--graph", p4]
     if argv[0] == "gen-vc":

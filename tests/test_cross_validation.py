@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, product
+from math import log
 
 import pytest
 from hypothesis import given, settings
@@ -15,14 +16,18 @@ from burnkit import (
     build_sat_instance,
     build_vc_instance,
     exact_burning_number,
+    grid_graph,
     lower_bound,
     ordering_feasible,
+    path_graph,
     schedule_sources,
     schedule_to_vc,
     simulate,
+    star_graph,
     vc_to_schedule,
 )
 
+from burnkit.approx import _greedy_scatter, _search_lower_bound
 from burnkit.burning import _run_rounds
 
 from .strategies import (
@@ -382,6 +387,84 @@ def test_exact_matches_reference_search():
         assert (b, witness.rounds) == (ref_b, ref_witness.rounds), (g.adj, k)
         ks.add(k)
     assert ks == {1, 2, 3}
+
+
+def reference_search_lower_bound(g, k):
+    """The lower-bound search as it was before probes returned truncated
+    orders: a gallop of early-exit probes that record nothing when they
+    fail, closed by bisection with a power-law fit of the exact sizes
+    (refinement probes run to 4kj picks to record them) and a midpoint
+    after two model guesses in a row."""
+    n = g.n
+    sizes = {}
+    orders = {}
+
+    def probe(j, cap):
+        order = _greedy_scatter(g, j, limit=cap)
+        if cap is not None and len(order) > cap:
+            return False
+        sizes[j] = len(order)
+        orders[j] = order
+        return len(order) <= k * j
+
+    if probe(1, k):
+        return 1, orders[1]
+    lo = 1
+    hi = 2
+    while hi < n and not probe(hi, k * hi):
+        lo = hi
+        hi *= 2
+    hi = min(hi, n)
+    if hi not in sizes:
+        ok = probe(hi, None)
+        assert ok
+
+    streak = 0
+    while lo + 1 < hi:
+        guess = None
+        if streak < 2:
+            a = max((j for j in sizes if j <= lo), default=None)
+            b = min((j for j in sizes if j >= hi), default=None)
+            if a is None or b is None or a == b:
+                pts = sorted(sizes)
+                if len(pts) >= 2:
+                    a, b = pts[-2], pts[-1]
+            if a is not None and b is not None and a != b and sizes[a] > sizes[b] > 0:
+                d = log(sizes[a] / sizes[b]) / log(b / a)
+                if 0.1 < d < 16.0:
+                    c = sizes[a] * (a ** d)
+                    jh = round((c / k) ** (1.0 / (d + 1.0)))
+                    guess = min(max(jh, lo + 1), hi - 1)
+        if guess is None:
+            mid = (lo + hi) // 2
+            streak = 0
+        else:
+            mid = guess
+            streak += 1
+        if probe(mid, 4 * k * mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, orders[hi]
+
+
+def test_lower_bound_search_matches_reference_search():
+    rng = random.Random(707)
+    corpus = []
+    for _ in range(60):
+        n = rng.randint(1, 400)
+        if rng.random() < 0.25:  # possibly disconnected
+            corpus.append(random_graph(rng, n, rng.uniform(0.5, 3.0) / n))
+        else:
+            corpus.append(random_connected_graph(rng, n))
+    corpus += [random_connected_graph(rng, rng.randint(1, 3000), extra_edges=0)
+               for _ in range(20)]  # trees
+    corpus += [path_graph(n) for n in (1, 2, 3, 9, 50, 257, 1000, 4099)]
+    corpus += [star_graph(n) for n in (1, 2, 5, 300)]
+    corpus += [grid_graph(r, c) for r, c in ((1, 1), (2, 7), (10, 10), (17, 40), (60, 60))]
+    for g in corpus:
+        for k in (1, 2, 3):
+            assert _search_lower_bound(g, k) == reference_search_lower_bound(g, k), (g.n, g.m, k)
 
 
 @pytest.mark.parametrize("k", [1, 2])

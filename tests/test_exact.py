@@ -98,8 +98,8 @@ def test_exact_budget_covers_precomputation():
 
 
 def test_exact_budget_covers_lower_bound_probes(monkeypatch):
-    # the lower-bound search checks the deadline before each probe, so a
-    # spent budget stops it after at most one probe, not a whole search
+    # the lower-bound probes check the deadline at every pick, so a spent
+    # budget stops the search inside its first probe, not after a whole search
     probes = []
     scatter = approx._greedy_scatter
 
@@ -111,6 +111,36 @@ def test_exact_budget_covers_lower_bound_probes(monkeypatch):
     with pytest.raises(UndeterminedError):
         exact_burning_number(path_graph(300_000), 1, time_budget=0.0)
     assert len(probes) <= 1
+
+
+def test_exact_budget_expires_inside_a_lower_bound_probe(monkeypatch):
+    # a patched clock stands still until the first long probe of the path
+    # (radius >= 256, a scan of most of the ids) starts, then ticks once per
+    # read; the budget runs out after 20 reads, far short of that probe's end
+    clock = {"now": 0.0, "ticking": False, "reads": 0}
+    probes = []
+    scatter = approx._greedy_scatter
+
+    def monotonic():
+        if clock["ticking"]:
+            clock["now"] += 1.0
+            clock["reads"] += 1
+        return clock["now"]
+
+    def watched(g, r, *args, **kwargs):
+        clock["ticking"] = clock["ticking"] or r >= 256
+        probes.append([r, False])
+        order = scatter(g, r, *args, **kwargs)
+        probes[-1][1] = True
+        return order
+
+    monkeypatch.setattr(approx.time, "monotonic", monotonic)
+    monkeypatch.setattr(approx, "_greedy_scatter", watched)
+    with pytest.raises(UndeterminedError):
+        exact_burning_number(path_graph(200_000), 1, time_budget=20.0)
+    long_probes = [finished for r, finished in probes if r >= 256]
+    assert long_probes == [False]  # raised inside the probe, not after it
+    assert clock["reads"] == 21  # on the first pick past the deadline
 
 
 def test_schedule_sources_respects_time_budget():
