@@ -29,6 +29,7 @@ from .exact import (
     schedule_sources,
 )
 from .graph import (
+    MAX_VERTICES,
     DistanceTable,
     Graph,
     GraphFormatError,
@@ -69,6 +70,7 @@ __all__ = [
     "DistanceTable",
     "Graph",
     "GraphFormatError",
+    "MAX_VERTICES",
     "MisResult",
     "ReductionError",
     "SatInstance",

@@ -91,6 +91,21 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise _fail_parse(f"bad {what} list: {text!r}") from None
 
 
+def _parse_ordering(text: str) -> dict[int, int]:
+    """``vertex@round`` tokens, comma- or space-separated, each vertex at most once."""
+    ordering: dict[int, int] = {}
+    for tok in text.replace(",", " ").split():
+        v, _, r = tok.partition("@")
+        try:
+            v, r = int(v), int(r)
+        except ValueError:
+            raise _fail_parse(f"ordering tokens are vertex@round, got {tok!r}") from None
+        if v in ordering:
+            raise _fail_parse(f"ordering names vertex {v} twice")
+        ordering[v] = r
+    return ordering
+
+
 def _emit_schedule(s: Schedule) -> None:
     _emit("k", s.k)
     _emit("rounds", len(s.rounds))
@@ -119,7 +134,9 @@ def _cmd_simulate(args) -> int:
     _emit("k", s.k)
     _emit("valid", "true" if report.valid else "false")
     _emit("completion_round", report.completion_round)
-    _emit("burn_round", *("-" if r is None else r for r in report.burn_round))
+    # each distinct round formatted once, then one join, as _emit would print it
+    names = {r: "-" if r is None else str(r) for r in set(report.burn_round)}
+    print(" ".join(["burn_round", *map(names.__getitem__, report.burn_round)]))
     for v in report.violations:
         _emit("violation", v.round, v.vertex, v.reason)
     if not report.valid:
@@ -247,11 +264,12 @@ def _cmd_map_vc(args) -> int:
     inst = load_vc_instance(g, _read_json(args.meta))
     if (args.cover is None) == (args.schedule is None):
         raise _fail_parse("map-vc needs exactly one of --cover or --schedule")
+    if args.cover is not None:
+        cover = _parse_ints(args.cover, "cover")
     _emit("command", "map-vc")
     _emit("graph", args.graph)
     _emit("meta", args.meta)
     if args.cover is not None:
-        cover = _parse_ints(args.cover, "cover")
         try:
             sched = vc_to_schedule(inst, cover)
         except ReductionError as e:
@@ -284,6 +302,8 @@ def _cmd_map_sat(args) -> int:
         if sorted(map(abs, lits)) != list(range(1, si.cnf.n_vars + 1)):
             raise _fail_parse("assignment must mention each variable exactly once")
         assignment = {abs(l): l > 0 for l in lits}
+    else:
+        ordering = _parse_ordering(args.ordering)
     _emit("command", "map-sat")
     _emit("graph", args.graph)
     _emit("meta", args.meta)
@@ -296,15 +316,6 @@ def _cmd_map_sat(args) -> int:
         for v, r in sorted(ordering.items()):
             _emit("ignite", v, r)
     else:
-        ordering: dict[int, int] = {}
-        for tok in args.ordering.replace(",", " ").split():
-            if "@" not in tok:
-                raise _fail_parse(f"ordering tokens are vertex@round, got {tok!r}")
-            v, r = tok.split("@", 1)
-            try:
-                ordering[int(v)] = int(r)
-            except ValueError:
-                raise _fail_parse(f"ordering tokens are vertex@round, got {tok!r}") from None
         try:
             assignment = schedule_to_assignment(si, ordering)
         except ReductionError as e:

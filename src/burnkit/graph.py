@@ -17,6 +17,16 @@ from operator import eq
 from typing import Iterable, Iterator
 
 
+MAX_VERTICES = 10**8
+"""Largest vertex count a graph may have.  Each vertex costs about 104 bytes
+before any edge (its id in the table and its empty adjacency list), so the
+bound is about 10 GB; builders and the parser check it before allocating
+anything of size n."""
+
+_SLICE = 1 << 16
+"""Characters of whole lines that parse_graph converts at a time."""
+
+
 class GraphFormatError(ValueError):
     """Malformed edge-list document; carries the offending 1-based line number."""
 
@@ -71,8 +81,12 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
     Nothing of size n is allocated before the range and self-loop checks pass.
     Then the ids are swapped in place for the entries of ``vid``, the table
     ``list(range(n))``, unless the caller already read them through it.
+    The self-loop check pairs the ids through strided ``islice`` views, not
+    copies.  The appends stay a Python loop: on CPython 3.11 its specialized
+    ``list.append`` beats ``map(list.append, ...)`` at every size measured.
     """
-    if not ids or (min(ids) >= 0 and max(ids) < n and not any(map(eq, ids[::2], ids[1::2]))):
+    loops = map(eq, islice(ids, 0, None, 2), islice(ids, 1, None, 2))
+    if not ids or (min(ids) >= 0 and max(ids) < n and not any(loops)):
         enabled = gc.isenabled()
         gc.disable()  # the n lists would set off full collections, and hold no cycles
         try:
@@ -106,9 +120,14 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge iterable, rejecting loops and duplicates."""
+    """Build a Graph from an edge iterable, rejecting loops and duplicates.
+
+    Raises ValueError if n is negative or above MAX_VERTICES.
+    """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the vertex bound {MAX_VERTICES}")
     ids = [x for u, v in edges for x in (u, v)]
     try:
         return _build(n, ids, "edge ({u},{v}) out of range for n={n}")
@@ -116,49 +135,101 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise ValueError(e.args[0]) from None
 
 
+def _slices(text: str, start: int, canonical: bool) -> Iterator[str | bytes]:
+    """``text[start:]`` as slices of whole lines, each _SLICE characters or a line more.
+
+    With ``canonical`` each slice comes as ASCII bytes, and the slices stop
+    at the first one whose lines are not all ``digits SP digits LF``.  That
+    test is one pass in C; it lets an empty digit run through, so the caller
+    also counts the tokens.
+    """
+    while start < len(text):
+        end = text.find("\n", start + _SLICE) + 1 or len(text)
+        chunk = text[start:end]
+        if canonical:
+            chunk = chunk.encode()
+            if chunk.translate(None, b"0123456789") != b" \n" * chunk.count(b"\n"):
+                return
+        yield chunk
+        start = end
+
+
+def _read_ids(chunks: Iterable[str | bytes], vid: list[int] | None) -> list[int]:
+    """The one converter: each slice's tokens by ``int``, then through ``vid`` if given.
+
+    Stops at the first token that is no integer or, through ``vid``, no id
+    below n, so the list comes out short.
+    """
+    ids: list[int] = []
+    with suppress(ValueError, IndexError):
+        for chunk in chunks:
+            tokens = map(int, chunk.split())
+            ids += tokens if vid is None else map(vid.__getitem__, tokens)
+    return ids
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: first line ``n m``, then m lines ``u v``.
 
     Raises GraphFormatError with the 1-based line number on any of:
-    malformed line, id out of range, self-loop, duplicate edge, or an
-    edge count that does not match the header.  Lines are read one by
-    one only to locate an error; otherwise the tokens are converted in bulk.
+    malformed line, id out of range, self-loop, duplicate edge, an edge
+    count that does not match the header, or n above MAX_VERTICES.
+
+    The body is converted in slices of about _SLICE characters of whole
+    lines, so the text is never split into one string per line.  A
+    canonical document (ASCII, every line ``digits SP digits LF``, as
+    serialize_graph writes it) is shape-tested slice by slice in C as it
+    converts.  Any other layout (CRLF, tabs, blank lines, signs, ``1_0``,
+    no final LF) first has its tokens counted line by line, then converts
+    through the same slices.  Lines are read one by one only to locate an
+    error.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    first = text[: text.find("\n") + 1 or len(text)].splitlines()
+    if not first or not first[0].strip():
         raise GraphFormatError(1, "missing 'n m' header")
-    head = lines[0].split()
+    header = first[0]
+    head = header.split()
     if len(head) != 2:
-        raise GraphFormatError(1, f"expected 'n m', got {lines[0].strip()!r}")
+        raise GraphFormatError(1, f"expected 'n m', got {header.strip()!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphFormatError(1, f"expected two integers, got {lines[0].strip()!r}") from None
+        raise GraphFormatError(1, f"expected two integers, got {header.strip()!r}") from None
     if n < 0 or m < 0:
         raise GraphFormatError(1, "n and m must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(1, f"n = {n} exceeds the vertex bound {MAX_VERTICES}")
+    start = len(header) + 1  # the body, or a blank line before it if the header ends in CRLF
 
     out_of_range = "vertex id out of range in ({u},{v})"
-    ids = None
-    counts = Counter(map(len, map(str.split, islice(lines, 1, None))))
-    if counts.keys() <= {0, 2} and counts[2] == m:
+    # A document that looks canonical is tried first.  If a slice of another
+    # layout, a bad id or a short token count stops it, the tokens are
+    # counted line by line and the document converts again.
+    for canonical in (True, False):
+        if canonical:
+            shaped = text.endswith("\n") and text.count("\n", start) == m
+        else:
+            body = chain.from_iterable(map(str.splitlines, _slices(text, start, False)))
+            counts = Counter(map(len, map(str.split, body)))
+            shaped = counts.keys() <= {0, 2} and counts[2] == m
+        if not shaped:
+            continue
         # Read the ids straight through the builder's table of vertex ids,
         # so 2m ints are never made; an id >= n raises IndexError.  Not when
         # the table would outnumber the ids, so that a header alone allocates
         # nothing of size n, nor when the body holds a "-": the table would
         # wrap a negative id.
         vid = None
-        if n <= 2 * m and text.find("-", len(lines[0])) < 0:
+        if n <= 2 * m and (canonical or text.find("-", start) < 0):
             vid = list(range(n))
-        tokens = map(int, chain.from_iterable(map(str.split, islice(lines, 1, None))))
-        with suppress(ValueError, IndexError):
-            ids = list(tokens if vid is None else map(vid.__getitem__, tokens))
-        if ids is not None:
-            del lines  # the adjacency lists need the memory more
+        ids = _read_ids(_slices(text, start, canonical), vid)
+        if len(ids) == 2 * m:
             try:
                 return _build(n, ids, out_of_range, vid)
             except _BadEdge:
-                lines = text.splitlines()
-        del vid
+                break
+        del ids, vid
+    lines = text.splitlines()
     # read up to the first malformed line; an edge error before it comes first
     ids, where, error = [], [], None
     for idx, raw in enumerate(lines[1:], start=2):

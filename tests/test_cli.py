@@ -48,6 +48,19 @@ def test_simulate_invalid_certificate(capsys, tmp_path, p4):
     assert report["valid"] == ["false"]
 
 
+def test_simulate_disconnected_graph_marks_unburnt_vertices(capsys, tmp_path):
+    graph = tmp_path / "two.txt"
+    graph.write_text("5 3\n0 1\n1 2\n3 4\n")
+    sched = tmp_path / "s.txt"
+    sched.write_text("1 1\n1\n")
+    code, out, err = run(capsys, "simulate", "--graph", graph, "--schedule", sched)
+    assert code == 1
+    report = parse_report(out)
+    assert report["valid"] == ["false"]
+    assert report["burn_round"] == ["2 1 2 - -"]
+    assert err.startswith("error invalid")
+
+
 def test_parse_error_status(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a graph\n")
@@ -128,6 +141,8 @@ SAT_META_P4 = {"kind": "sat-scheduling-instance", "n_vars": 2, "clauses": [[1, 2
                "sources": [0, 1, 2, 3], "k": 1,
                "literal_vertex": {"1": 0, "-1": 1, "2": 2, "-2": 3},
                "clause_vertex": [3], "top_end": {"1": 0, "-1": 1, "2": 2, "-2": 3}}
+VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected": False,
+              "roles": [["v", v] for v in range(4)]}
 
 
 @pytest.mark.parametrize("argv, meta, first_line", [
@@ -152,9 +167,15 @@ SAT_META_P4 = {"kind": "sat-scheduling-instance", "n_vars": 2, "clauses": [[1, 2
      "error parse clause (1, 2) does not have exactly 3 literals"),
     (["map-sat", "--assignment", "1,-1,2"], SAT_META_P4,
      "error parse assignment must mention each variable exactly once"),
+    (["map-sat", "--ordering", "1@9,1@1,0@2,2@3,3@4"], SAT_META_P4,
+     "error parse ordering names vertex 1 twice"),
+    (["map-sat", "--ordering", "1@1,0@2,2@3,3x4"], SAT_META_P4,
+     "error parse ordering tokens are vertex@round, got '3x4'"),
+    (["map-vc", "--cover", "1,x"], VC_META_P4, "error parse bad cover list: '1,x'"),
 ], ids=["schedule-duplicate", "schedule-range", "schedule-k0", "schedule-rounds0",
         "gen-vc-q", "gen-vc-connected-k", "map-vc-kind", "map-vc-roles",
-        "map-sat-kind", "map-sat-literal", "map-sat-clause", "map-sat-repeated-variable"])
+        "map-sat-kind", "map-sat-literal", "map-sat-clause", "map-sat-repeated-variable",
+        "map-sat-repeated-vertex", "map-sat-ordering-token", "map-vc-cover-token"])
 def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, argv, meta, first_line):
     argv = [*argv, "--graph", p4]
     if argv[0] == "gen-vc":

@@ -1,7 +1,9 @@
 """Independent re-implementations pitted against the production code paths."""
 
 import random
-from itertools import combinations, product
+from collections import Counter
+from contextlib import suppress
+from itertools import chain, combinations, islice, product
 from math import log
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from burnkit import (
     Cnf3,
+    GraphFormatError,
     Schedule,
     SchedulingInstance,
     bfs_distances,
@@ -19,6 +22,7 @@ from burnkit import (
     grid_graph,
     lower_bound,
     ordering_feasible,
+    parse_graph,
     path_graph,
     schedule_sources,
     schedule_to_vc,
@@ -28,7 +32,9 @@ from burnkit import (
 )
 
 from burnkit.approx import _greedy_scatter, _search_lower_bound
+from burnkit import graph as graph_module
 from burnkit.burning import _run_rounds
+from burnkit.graph import _BadEdge, _build
 
 from .strategies import (
     brute_force_min_cover,
@@ -502,3 +508,121 @@ def test_vc_connected_round_trip_random_graphs():
         recovered = set(schedule_to_vc(inst, sched))
         assert len(recovered) <= len(cover)
         assert all(u in recovered or v in recovered for u, v in g.edges())
+
+
+def reference_parse_graph(text):
+    """The whole-text parser that slice-wise conversion replaced: split into lines, count, convert."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise GraphFormatError(1, "missing 'n m' header")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphFormatError(1, f"expected 'n m', got {lines[0].strip()!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphFormatError(1, f"expected two integers, got {lines[0].strip()!r}") from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(1, "n and m must be non-negative")
+
+    out_of_range = "vertex id out of range in ({u},{v})"
+    ids = None
+    counts = Counter(map(len, map(str.split, islice(lines, 1, None))))
+    if counts.keys() <= {0, 2} and counts[2] == m:
+        vid = None
+        if n <= 2 * m and text.find("-", len(lines[0])) < 0:
+            vid = list(range(n))
+        tokens = map(int, chain.from_iterable(map(str.split, islice(lines, 1, None))))
+        with suppress(ValueError, IndexError):
+            ids = list(tokens if vid is None else map(vid.__getitem__, tokens))
+        if ids is not None:
+            try:
+                return _build(n, ids, out_of_range, vid)
+            except _BadEdge:
+                pass
+    ids, where, error = [], [], None
+    for idx, raw in enumerate(lines[1:], start=2):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(where) == m:
+            error = GraphFormatError(idx, f"more than {m} edge lines")
+        elif len(parts) != 2:
+            error = GraphFormatError(idx, f"expected 'u v', got {raw.strip()!r}")
+        else:
+            try:
+                ids += (int(parts[0]), int(parts[1]))
+                where.append(idx)
+                continue
+            except ValueError:
+                error = GraphFormatError(idx, f"expected two integers, got {raw.strip()!r}")
+        break
+    try:
+        _build(n, ids, out_of_range)
+    except _BadEdge as e:
+        raise GraphFormatError(where[e.args[1]], e.args[0]) from None
+    raise error or GraphFormatError(len(lines) + 1, f"expected {m} edges, found {len(where)}")
+
+
+# spellings of an id other than its canonical digits, and tokens that are no id
+ID_SPELLINGS = [
+    lambda v: f"00{v}", lambda v: f"+{v}", lambda v: f"-{v}" if v == 0 else str(v),
+    lambda v: "_".join(str(v)) if v >= 10 else str(v),
+    lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+]
+BAD_TOKENS = ["-1", "x", "1_", "", "1 2", "--0", "０"]
+
+
+def random_edge_document(rng):
+    """An edge-list document: canonical, or with one to three of its layouts or edges changed."""
+    n = rng.randrange(1, 14)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = [list(map(str, p if rng.random() < 0.5 else p[::-1]))
+            for p in rng.sample(pairs, rng.randrange(min(len(pairs), 9) + 1))]
+    m, eol, final = len(rows), "\n", True
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        kind = rng.randrange(9)
+        row = rng.choice([r for r in rows if len(r) == 2] or [None])
+        if kind == 0:
+            eol = rng.choice(["\r\n", "\r", "\n\n", " \n", "\t\n"])
+        elif kind == 1:
+            final = False
+        elif kind == 2:
+            m += rng.choice([-1, 1])
+        elif kind == 3 and row:
+            row[rng.randrange(2)] = rng.choice(["-1", str(n), row[0]])  # out of range or loop
+        elif kind == 4 and row:  # a duplicate, counted in the header or not
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice([list(row), row[::-1]]))
+            m += rng.random() < 0.5
+        elif kind == 5 and row and row[0].isdecimal():
+            row[0] = rng.choice(ID_SPELLINGS)(int(row[0]))
+        elif kind == 6 and row:
+            row[rng.randrange(2)] = rng.choice(BAD_TOKENS)
+        elif kind == 7:
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice([[], [""], ["\t"], ["7"]]))
+        elif row:
+            row.insert(1, rng.choice(["", "\t", "  "]))  # joined with the separator below
+    sep = rng.choice([" ", " ", " ", "\t"])
+    lines = [f"{n} {m}"] + [sep.join(r) for r in rows]
+    return eol.join(lines) + (eol if final else "")
+
+
+def parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except GraphFormatError as e:
+        return ("error", str(e), e.line)
+    return ("graph", g.n, g.adj)
+
+
+@pytest.mark.parametrize("slice_chars", [1, 5, 23, graph_module._SLICE])
+def test_parse_graph_matches_reference_parser(monkeypatch, slice_chars):
+    monkeypatch.setattr(graph_module, "_SLICE", slice_chars)
+    rng = random.Random(8)
+    kinds = Counter()
+    for _ in range(3000):
+        text = random_edge_document(rng)
+        outcome = parse_outcome(parse_graph, text)
+        assert outcome == parse_outcome(reference_parse_graph, text), text
+        kinds[outcome[0]] += 1
+    assert min(kinds.values()) > 600  # both outcomes well represented

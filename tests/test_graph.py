@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnkit import (
+    MAX_VERTICES,
     GraphFormatError,
     bfs_distances,
     complete_graph,
@@ -151,7 +152,11 @@ def test_builder_runs_no_collection():
     (lambda: parse_graph("2000000 1\n0 2000000\n"), "line 2: vertex id out of range in (0,2000000)"),
     (lambda: parse_graph("2000000 1\n5 5\n"), "line 2: self-loop at vertex 5"),
     (lambda: graph_from_edges(2_000_000, [(0, 2_000_000)]), "edge (0,2000000) out of range for n=2000000"),
-], ids=["parse-range", "parse-self-loop", "from-edges-range"])
+    (lambda: parse_graph(f"{MAX_VERTICES + 1} 0\n"),
+     f"line 1: n = {MAX_VERTICES + 1} exceeds the vertex bound {MAX_VERTICES}"),
+    (lambda: graph_from_edges(MAX_VERTICES + 1, []),
+     f"vertex count {MAX_VERTICES + 1} exceeds the vertex bound {MAX_VERTICES}"),
+], ids=["parse-range", "parse-self-loop", "from-edges-range", "parse-bound", "from-edges-bound"])
 def test_rejected_huge_header_allocates_nothing_of_size_n(build, message):
     tracemalloc.start()
     try:
@@ -162,6 +167,24 @@ def test_rejected_huge_header_allocates_nothing_of_size_n(build, message):
         tracemalloc.stop()
     assert str(exc.value) == message
     assert peak < 1 << 20  # 2e6 empty lists alone would take 112 MB
+
+
+@pytest.mark.parametrize("build,allowance", [
+    # the whole-text parser peaked 7.1 MB above this graph, in its list of lines
+    (lambda: grid_graph(300, 300), 4 << 20),
+    # here the id list and the id table (4.8 MB) set the peak, as they did before
+    (lambda: path_graph(200_000), 5 << 20),
+], ids=["grid-300x300", "path-200000"])
+def test_parse_peaks_little_above_its_graph(build, allowance):
+    text = serialize_graph(build())
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        graph, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == int(text.split(maxsplit=2)[1])
+    assert peak - graph <= allowance
 
 
 def test_serialize_canonical():
