@@ -142,8 +142,13 @@ def _run_rounds(g: Graph, k: int, rounds: list[list[int]], policy: str
         for v in ignited:  # before the top-up, so its scans pass over these
             burn[v] = t
         if pad:
-            while cursor < n and len(ignited) < required:
-                if not burn[cursor] and later[cursor] <= t:
+            while len(ignited) < required:
+                try:
+                    cursor = burn.index(0, cursor)  # the next unburnt id, found in C
+                except ValueError:
+                    cursor = n
+                    break
+                if later[cursor] <= t:
                     burn[cursor] = t
                     ignited.append(cursor)
                 cursor += 1

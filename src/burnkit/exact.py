@@ -42,7 +42,7 @@ class SchedulingInstance:
         self.sources = tuple(srcs)
 
 
-def _bfs_order(g: Graph, s: int, max_depth: int | None = None) -> tuple[list[int], list[int]]:
+def _bfs_order(g: Graph, s: int, max_depth: int) -> tuple[list[int], list[int]]:
     """Vertices within ``max_depth`` hops of s in BFS visit order, with their hop counts."""
     adj = g.adj
     seen = [False] * g.n
@@ -61,21 +61,18 @@ def _bfs_order(g: Graph, s: int, max_depth: int | None = None) -> tuple[list[int
     return order, hops
 
 
-def _ball_masks(g: Graph, max_radius: int, deadline: float | None) -> list[list[int]]:
-    """ball[v][d] = bitmask of vertices within d hops of v, d = 0..max_radius."""
-    masks: list[list[int]] = []
-    for v in range(g.n):
+def _grow_balls(g: Graph, ball: list[list[int]], deadline: float | None) -> None:
+    """Extend every row by one radius: ball[v][d + 1] joins v's radius-d ball
+    with those of its neighbours."""
+    adj = g.adj
+    d = len(ball[0]) - 1
+    for v, row in enumerate(ball):
         if deadline is not None and time.monotonic() > deadline:
             raise UndeterminedError("time budget exhausted")
-        row = [0] * (max_radius + 1)
-        acc = 0
-        for u, d in zip(*_bfs_order(g, v, max_radius)):
-            acc |= 1 << u
-            row[d] = acc
-        for d in range(1, max_radius + 1):
-            row[d] |= row[d - 1]  # radii past the farthest vertex keep the whole ball
-        masks.append(row)
-    return masks
+        acc = row[d]
+        for u in adj[v]:
+            acc |= ball[u][d]
+        row.append(acc)
 
 
 def exact_burning_number(
@@ -95,8 +92,11 @@ def exact_burning_number(
     could (k times the largest ball each).  The enumeration carries the
     union of each batch prefix and skips every extension of a prefix whose
     count plus (slots left) times the largest ball is below ``need``.
-    Balls are bitmasks built from one BFS per vertex, truncated at radius
-    3j, since the approximation burns everything within 3j rounds.
+    Balls are bitmasks grown one radius at a time, each vertex's as the
+    union of its neighbours' balls one radius smaller, and only up to
+    radius L - 1 of the depth being tried.  The approximation burns
+    everything within 3j rounds, so a depth past 3j raises RuntimeError,
+    as does a witness the round engine rejects.
 
     Raises UndeterminedError when ``max_rounds`` or ``time_budget`` is
     exhausted first, the lower-bound probes and the precomputation
@@ -111,8 +111,11 @@ def exact_burning_number(
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     start_l = _search_lower_bound(g, k, deadline)[0]
     top = 3 * start_l  # b <= 3j: the approximation completes within 3j rounds
-    ball = _ball_masks(g, top, deadline)
-    maxball = [max(ball[v][d].bit_count() for v in range(n)) for d in range(top + 1)]
+    # ball[v][d] = bitmask of the vertices within d hops of v, grown one
+    # radius at a time up to the largest a depth reads; maxball[d] = the
+    # most any radius-d ball holds
+    ball = [[1 << v] for v in range(n)]
+    maxball = [1]
 
     def try_depth(limit: int) -> list[list[int]] | None:
         # cap[r] = most vertices rounds r..limit could still cover
@@ -160,13 +163,17 @@ def exact_burning_number(
             raise UndeterminedError(f"not determined within {max_rounds} rounds")
         if depth > top:
             raise RuntimeError(f"burning number exceeds 3 * lower bound = {top}")
+        while len(maxball) < depth:  # depth L reads radii up to L - 1
+            _grow_balls(g, ball, deadline)
+            maxball.append(max(row[-1].bit_count() for row in ball))
         batches = try_depth(depth)
         if batches is not None:
             break
         depth += 1
     witness = Schedule(k, _run_rounds(g, k, batches, "pad")[3])
     report = simulate(g, witness, strict=True)
-    assert report.valid and report.completion_round == depth
+    if not (report.valid and report.completion_round == depth):
+        raise RuntimeError(f"search returned a witness the round engine rejects at depth {depth}")
     return depth, witness
 
 
@@ -280,12 +287,18 @@ def schedule_sources(
     their hop counts; those lists give the pairwise distances and the
     balls.  ``ball(i, d)`` (the vertices within d hops of the i-th source)
     and ``suffix(i, d)`` (the union of those balls over sources i onwards)
-    are bitmasks built only for the (i, d) the search asks for.  The
-    search carries ``covered``, the union of ``ball(i, rounds - r)`` over
-    the assigned (source, round) pairs.  After placing source i, with
+    are bitmasks built only for the (i, d) the search asks for, a ball
+    mostly from the one a radius larger, less that one's outer BFS layer.
+    The search carries ``covered``, the union of ``ball(i, rounds - r)``
+    over the assigned (source, round) pairs.  After placing source i, with
     ``free`` the earliest round with spare capacity, the branch lives only
     if ``covered | suffix(i + 1, rounds - free)`` is every vertex (the
-    suffix term counts only while ``free <= rounds``).  At a leaf these
+    suffix term counts only while ``free <= rounds``).  Each node finds
+    ``first``, its earliest round with room, once, and tries no round
+    before it.  Every placement but one that fills ``first`` leaves
+    ``free == first``, so that suffix term is computed once per node; and
+    as the ball only shrinks while the round grows, the first such
+    placement the bound rules out ends the node's loop.  At a leaf these
     tests are exact: fire starts only at sources, so with every ignition
     valid each vertex burns at the least round plus distance over the
     sources.  The returned witness is certified once by
@@ -315,14 +328,30 @@ def schedule_sources(
 
     # masks are built on first use: a table of every radius would take
     # |S|*rounds*n bits up front, while a search builds only those it asks for
-    @cache
-    def ball(i: int, d: int) -> int:
+    built: list[dict[int, int]] = [{} for _ in srcs]
+
+    def bits(vertices: list[int]) -> int:
         # set bits in a byte buffer: OR-ing one-bit ints in one by one
         # would copy the whole mask per vertex
         buf = bytearray((n + 7) // 8)
-        for v in order[i][: bisect_right(hops[i], d)]:
+        for v in vertices:
             buf[v >> 3] |= 1 << (v & 7)
         return int.from_bytes(buf, "little")
+
+    def ball(i: int, d: int) -> int:
+        row = built[i]
+        mask = row.get(d)
+        if mask is None:
+            # the search asks for each source's radii largest first, so
+            # ball(i, d + 1) is mostly built: drop its outer BFS layer
+            hop, at = hops[i], order[i]
+            cut = bisect_right(hop, d)
+            if d + 1 in row:
+                mask = row[d + 1] ^ bits(at[cut: bisect_right(hop, d + 1, cut)])
+            else:
+                mask = bits(at[:cut])
+            row[d] = mask
+        return mask
 
     @cache
     def suffix(i: int, d: int) -> int:
@@ -331,33 +360,42 @@ def schedule_sources(
     if suffix(0, rounds - 1) != full:
         return None
 
-    capacity = [0] * (rounds + 1)
+    # sources placed per round; the extra round never fills, a sentinel
+    # that ends the scan for the earliest round with room
+    capacity = [0] * (rounds + 2)
     when: list[int] = []  # when[j] = round of source j, for the sources placed so far
-
-    def earliest_free_round() -> int:
-        for r in range(1, rounds + 1):
-            if capacity[r] < k:
-                return r
-        return rounds + 1
 
     def place(i: int, covered: int) -> bool:
         if deadline is not None and time.monotonic() > deadline:
             raise UndeterminedError("time budget exhausted")
         if i == len(srcs):
             return True  # covered == full, or the bound would have cut this branch
+        first = 1  # the earliest round with room: every round before it is full
+        while capacity[first] >= k:
+            first += 1
+        if first > rounds:
+            return False
         # the later of two sources d hops apart burns before its round
         # unless their rounds differ by less than d
-        lo = max([1] + [rp - d + 1 for d, rp in zip(gap[i], when)])
+        lo = max([first] + [rp - d + 1 for d, rp in zip(gap[i], when)])
         hi = min([rounds] + [rp + d - 1 for d, rp in zip(gap[i], when)])
+        # a placement that leaves room at first keeps the bound's suffix term
+        later = suffix(i + 1, rounds - first)
         for r in range(lo, hi + 1):
             if capacity[r] >= k:
                 continue
+            now = covered | ball(i, rounds - r)
+            if r == first and capacity[r] == k - 1:
+                free = r + 1  # placing here fills first: the bound moves on
+                while capacity[free] >= k:
+                    free += 1
+                if now | (suffix(i + 1, rounds - free) if free <= rounds else 0) != full:
+                    continue
+            elif now | later != full:
+                break  # the ball only shrinks as r grows, and later stays put
             when.append(r)
             capacity[r] += 1
-            now = covered | ball(i, rounds - r)
-            free = earliest_free_round()
-            later = suffix(i + 1, rounds - free) if free <= rounds else 0
-            if now | later == full and place(i + 1, now):
+            if place(i + 1, now):
                 return True
             capacity[r] -= 1
             when.pop()

@@ -13,7 +13,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, islice
-from operator import eq
+from operator import eq, lt
 from typing import Iterable, Iterator
 
 
@@ -75,18 +75,28 @@ class _BadEdge(ValueError):
 def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = None) -> Graph:
     """Graph from a flat id list ``[u0, v0, u1, v1, ...]``: the one edge checker.
 
-    Range and self-loops are checked in bulk, duplicates as repeated neighbors.
-    Only if a check fails are the edges walked in input order, to raise
-    _BadEdge for the first bad one; ``out_of_range`` formats an id's range error.
-    Nothing of size n is allocated before the range and self-loop checks pass.
-    Then the ids are swapped in place for the entries of ``vid``, the table
-    ``list(range(n))``, unless the caller already read them through it.
-    The self-loop check pairs the ids through strided ``islice`` views, not
-    copies.  The appends stay a Python loop: on CPython 3.11 its specialized
+    Pairs (u, v) with u < v in strictly ascending order, as serialize_graph
+    and the generators write them, hold no self-loop and no duplicate, and
+    append every list in sorted order; that order is tested first, through
+    strided ``islice`` views rather than copies, and the test stops at the
+    first pair out of order.  Ids in any other order are range-checked and
+    loop-checked in bulk, then sorted, and duplicates found as repeated
+    neighbors.  Only if a check fails are the edges walked in input order,
+    to raise _BadEdge for the first bad one; ``out_of_range`` formats an
+    id's range error.  Nothing of size n is allocated before the range and
+    self-loop checks pass.  Then the ids are swapped in place for the
+    entries of ``vid``, the table ``list(range(n))``, unless the caller
+    already read them through it (and so already bounded them to 0..n-1).
+    The appends stay a Python loop: on CPython 3.11 its specialized
     ``list.append`` beats ``map(list.append, ...)`` at every size measured.
     """
-    loops = map(eq, islice(ids, 0, None, 2), islice(ids, 1, None, 2))
-    if not ids or (min(ids) >= 0 and max(ids) < n and not any(loops)):
+    def halves(start: int = 0) -> tuple[Iterator[int], Iterator[int]]:
+        # views of ids[start::2] and ids[start + 1::2]
+        return islice(ids, start, None, 2), islice(ids, start + 1, None, 2)
+
+    ordered = all(map(lt, zip(*halves()), zip(*halves(2)))) and all(map(lt, *halves()))
+    in_range = vid is not None or not ids or (min(ids) >= 0 and max(ids) < n)
+    if in_range and (ordered or not any(map(eq, *halves()))):
         enabled = gc.isenabled()
         gc.disable()  # the n lists would set off full collections, and hold no cycles
         try:
@@ -98,6 +108,8 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
             for u, v in zip(it, it):
                 adj[u].append(v)
                 adj[v].append(u)
+            if ordered:
+                return Graph(n, adj)
             for a in adj:
                 a.sort()
             if sum(map(len, map(set, adj))) == len(ids):

@@ -222,6 +222,35 @@ def test_schedule_sources_matches_reference_on_random_graphs():
     assert verdicts == {True, False}
 
 
+def test_schedule_sources_matches_reference_on_wider_instances():
+    # 6- and 7-variable gadgets, as at the desk corpus' p90, and k = 3, where
+    # a source placed at the earliest round with room may leave room there:
+    # each case of the search's bound and of its stop at the first round
+    # the bound rules out
+    rng = random.Random(63)
+    verdicts = Counter()
+    for n_vars in (6, 7):
+        for _ in range(10):
+            clauses = tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), 3))
+                for _ in range(round(4.26 * n_vars))
+            )
+            inst = build_sat_instance(Cnf3(n_vars, clauses)).inst
+            got = schedule_sources(inst, 2 * n_vars)
+            assert got == reference_schedule_sources(inst, 2 * n_vars), clauses
+            verdicts[n_vars, got is None] += 1
+    for _ in range(80):
+        n = rng.randint(8, 14)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n // 2))
+        sources = tuple(rng.sample(range(n), rng.randint(3, n)))
+        inst = SchedulingInstance(g, sources, 3)
+        rounds = rng.choice([None, rng.randint(1, 5)])
+        got = schedule_sources(inst, rounds)
+        assert got == reference_schedule_sources(inst, rounds), (g.adj, sources, rounds)
+        verdicts[3, got is None] += 1
+    assert all(verdicts[group, verdict] for group in (6, 7, 3) for verdict in (True, False))
+
+
 def reference_ordering_feasible(inst, ordering, rounds):
     """The ordering judge by distance formulas instead of simulation: a
     source at round r is burnt at ignition when an earlier source at rp sits

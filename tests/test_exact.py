@@ -24,6 +24,8 @@ from burnkit import (
     simulate,
 )
 
+from burnkit.burning import BurnReport
+
 from .strategies import graphs, random_connected_graph, random_graph
 
 
@@ -90,7 +92,7 @@ def test_exact_respects_time_budget():
 
 
 def test_exact_budget_covers_precomputation():
-    # one BFS per vertex precedes the search; the budget must cut it short
+    # the ball rows grown before each depth check the budget, as the search does
     t0 = time.monotonic()
     with pytest.raises(UndeterminedError):
         exact_burning_number(grid_graph(50, 40), 1, time_budget=0.2)
@@ -141,6 +143,33 @@ def test_exact_budget_expires_inside_a_lower_bound_probe(monkeypatch):
     long_probes = [finished for r, finished in probes if r >= 256]
     assert long_probes == [False]  # raised inside the probe, not after it
     assert clock["reads"] == 21  # on the first pick past the deadline
+
+
+def test_exact_budget_expires_while_growing_balls(monkeypatch):
+    # a patched clock stands still until the ball rows first grow, then
+    # ticks once per read; growth checks it per vertex, so the budget runs
+    # out on the eleventh vertex of the first growth
+    clock = {"now": 0.0, "ticking": False}
+    growths = []
+    grow = exact._grow_balls
+
+    def monotonic():
+        if clock["ticking"]:
+            clock["now"] += 1.0
+        return clock["now"]
+
+    def watched(*args):
+        clock["ticking"] = True
+        growths.append(False)
+        grow(*args)
+        growths[-1] = True
+
+    monkeypatch.setattr(exact.time, "monotonic", monotonic)
+    monkeypatch.setattr(exact, "_grow_balls", watched)
+    with pytest.raises(UndeterminedError):
+        exact_burning_number(path_graph(50), 1, time_budget=10.0)
+    assert growths == [False]
+    assert clock["now"] == 11.0
 
 
 def test_schedule_sources_respects_time_budget():
@@ -236,6 +265,15 @@ def test_schedule_sources_memory_on_a_long_path():
     finally:
         tracemalloc.stop()
     assert peak <= 6.6e6, peak
+
+
+def test_exact_raises_on_a_witness_the_round_engine_rejects(monkeypatch):
+    # the witness check is a raise, not an assert that python -O strips
+    rejected = BurnReport(burn_round=[None] * 4, completion_round=0, valid=False, violations=[])
+    monkeypatch.setattr(exact, "simulate", lambda g, s, strict=True: rejected)
+    with pytest.raises(RuntimeError, match="round engine rejects") as exc:
+        exact_burning_number(path_graph(4), 1)
+    assert not isinstance(exc.value, UndeterminedError)
 
 
 def test_exact_on_disconnected_components():

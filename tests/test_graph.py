@@ -283,6 +283,29 @@ def test_builders():
         cycle_graph(2)
 
 
+@settings(max_examples=60)
+@given(graphs(max_n=20), st.randoms(use_true_random=False))
+def test_build_ignores_edge_order(g, rnd):
+    # ascending pairs (u, v) with u < v are built without a sort or a
+    # duplicate check; any other order is sorted and checked
+    edges = list(g.edges())
+    shuffled = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in rnd.sample(edges, len(edges))]
+    assert graph_from_edges(g.n, edges).adj == graph_from_edges(g.n, shuffled).adj
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 3)], "edge (1,3) out of range for n=3"),
+    ([(-1, 0), (0, 1)], "edge (-1,0) out of range for n=3"),
+    ([(0, 1), (0, 1)], "duplicate edge (0,1)"),
+    ([(0, 1), (1, 1)], "self-loop at vertex 1"),
+    ([(0, 1), (1, 2), (0, 2), (1, 0)], "duplicate edge (0,1)"),
+])
+def test_build_checks_edges_in_any_order(edges, message):
+    with pytest.raises(ValueError) as exc:
+        graph_from_edges(3, edges)
+    assert str(exc.value) == message
+
+
 def test_from_edges_validation():
     with pytest.raises(ValueError) as exc:
         graph_from_edges(2, [(0, 0)])
