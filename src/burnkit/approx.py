@@ -134,8 +134,13 @@ def _search_lower_bound(
     greedy set sizes shrink as the radius grows the answer is the same
     as any bisection's.  With a ``deadline`` (``time.monotonic()``
     seconds) every probe reads the clock once per pick and raises
-    UndeterminedError once it has passed.
+    UndeterminedError once it has passed.  An empty graph or k < 1
+    raises ValueError, for every solver that starts here.
     """
+    if g.n < 1:
+        raise ValueError("graph must have at least one vertex")
+    if k < 1:
+        raise ValueError("spread factor must be positive")
     n = g.n
     sizes: dict[int, float] = {}
     found: dict[int, list[int]] = {}
@@ -207,10 +212,6 @@ def lower_bound(g: Graph, k: int, verify_linear: bool = False) -> int:
     k*j' + 1 picks, and a violation of the monotonicity assumption raises
     instead of returning a bad bound.
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if k < 1:
-        raise ValueError("spread factor must be positive")
     j, _ = _search_lower_bound(g, k)
     if verify_linear:
         for jp in range(1, j):
@@ -229,10 +230,6 @@ def approx_schedule(g: Graph, k: int) -> ApproxResult:
     strict semantics.  Every vertex is within 2j hops of a member ignited
     by round j, so completion <= 3j; the simulation double-checks that.
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if k < 1:
-        raise ValueError("spread factor must be positive")
     j, order = _search_lower_bound(g, k)
     batches = [order[i:i + k] for i in range(0, len(order), k)]
     # members are pairwise > 2j apart while batches span <= j rounds, so no

@@ -102,10 +102,6 @@ def exact_burning_number(
     exhausted first, the lower-bound probes and the precomputation
     included; never returns a wrong number.
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if k < 1:
-        raise ValueError("spread factor must be positive")
     n = g.n
     full = (1 << n) - 1
     deadline = time.monotonic() + time_budget if time_budget is not None else None

@@ -64,9 +64,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
 
 class _BadEdge(ValueError):
     """The first bad edge of a build; ``args`` are its message and input index."""

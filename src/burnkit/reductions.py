@@ -42,6 +42,8 @@ Role = tuple
 #   ("tail", u, v, i) i-th tail vertex of base edge (u, v)
 #   ("iso", i)        i-th isolated vertex (backbone anchor in the connected variant)
 #   ("backbone", i)   i-th non-anchor backbone path vertex (connected variant only)
+# entries per role, tag included, as vc_instance_meta writes them
+_ROLE_SIZE = {"v": 2, "e": 3, "d": 4, "tail": 4, "iso": 2, "backbone": 2}
 
 
 @dataclass
@@ -152,13 +154,8 @@ def _role_ids(inst: VcInstance, tag: str) -> list[int]:
 
 def original_edges(inst: VcInstance) -> list[tuple[int, int]]:
     """Edges of the user's input graph, recovered from the e-vertex roles."""
-    limit = inst.original_n
-    out = {
-        (min(r[1], r[2]), max(r[1], r[2]))
-        for r in inst.roles
-        if r[0] == "e" and r[1] < limit and r[2] < limit
-    }
-    return sorted(out)
+    # pairs are (min, max): bounding the larger endpoint bounds both
+    return [(u, v) for u, v in base_edges(inst) if v < inst.original_n]
 
 
 def base_edges(inst: VcInstance) -> list[tuple[int, int]]:
@@ -471,14 +468,25 @@ def vc_instance_meta(inst: VcInstance) -> dict:
     }
 
 
-def load_vc_instance(gprime: Graph, meta: dict) -> VcInstance:
-    if meta.get("kind") != "vc-burning-instance":
+def _role(role) -> Role:
+    if (isinstance(role, list) and role and isinstance(role[0], str)
+            and len(role) == _ROLE_SIZE.get(role[0])
+            and all(type(x) is int for x in role[1:])):
+        return tuple(role)
+    raise ReductionError(f"bad role {role!r}")
+
+
+def load_vc_instance(gprime: Graph, meta) -> VcInstance:
+    if not isinstance(meta, dict) or meta.get("kind") != "vc-burning-instance":
         raise ReductionError("metadata is not a vc-burning instance")
-    roles = [tuple(role) for role in meta["roles"]]
-    if len(roles) != gprime.n:
-        raise ReductionError(f"{len(roles)} roles for {gprime.n} vertices")
-    return VcInstance(gprime, roles, int(meta["n"]), int(meta["k"]), int(meta["q"]),
-                      bool(meta["connected"]))
+    try:
+        roles = [_role(role) for role in meta["roles"]]
+        if len(roles) != gprime.n:
+            raise ReductionError(f"{len(roles)} roles for {gprime.n} vertices")
+        return VcInstance(gprime, roles, int(meta["n"]), int(meta["k"]), int(meta["q"]),
+                          bool(meta["connected"]))
+    except KeyError as e:
+        raise ReductionError(f"metadata has no {e} field") from None
 
 
 def sat_instance_meta(si: SatInstance) -> dict:
@@ -495,15 +503,18 @@ def sat_instance_meta(si: SatInstance) -> dict:
     }
 
 
-def load_sat_instance(graph: Graph, meta: dict) -> SatInstance:
-    if meta.get("kind") != "sat-scheduling-instance":
+def load_sat_instance(graph: Graph, meta) -> SatInstance:
+    if not isinstance(meta, dict) or meta.get("kind") != "sat-scheduling-instance":
         raise ReductionError("metadata is not a sat-scheduling instance")
-    cnf = Cnf3(int(meta["n_vars"]), tuple(tuple(c) for c in meta["clauses"]))
-    inst = SchedulingInstance(graph, tuple(meta["sources"]), int(meta["k"]))
-    return SatInstance(
-        inst,
-        {int(lit): v for lit, v in meta["literal_vertex"].items()},
-        tuple(meta["clause_vertex"]),
-        cnf,
-        {int(lit): v for lit, v in meta["top_end"].items()},
-    )
+    try:
+        cnf = Cnf3(int(meta["n_vars"]), tuple(tuple(c) for c in meta["clauses"]))
+        inst = SchedulingInstance(graph, tuple(meta["sources"]), int(meta["k"]))
+        return SatInstance(
+            inst,
+            {int(lit): v for lit, v in meta["literal_vertex"].items()},
+            tuple(meta["clause_vertex"]),
+            cnf,
+            {int(lit): v for lit, v in meta["top_end"].items()},
+        )
+    except KeyError as e:
+        raise ReductionError(f"metadata has no {e} field") from None

@@ -172,10 +172,33 @@ VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected"
     (["map-sat", "--ordering", "1@1,0@2,2@3,3x4"], SAT_META_P4,
      "error parse ordering tokens are vertex@round, got '3x4'"),
     (["map-vc", "--cover", "1,x"], VC_META_P4, "error parse bad cover list: '1,x'"),
+    (["map-vc", "--cover", "1"], [1], "error parse metadata is not a vc-burning instance"),
+    (["map-sat", "--assignment", "1"], [1],
+     "error parse metadata is not a sat-scheduling instance"),
+    (["map-vc", "--cover", "1"], {k: v for k, v in VC_META_P4.items() if k != "roles"},
+     "error parse metadata has no 'roles' field"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], 0]},
+     "error parse bad role 0"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], ["e"]]},
+     "error parse bad role ['e']"),
+    (["map-vc", "--cover", "1"],
+     {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], ["w", 3]]},
+     "error parse bad role ['w', 3]"),
+    (["map-vc", "--cover", "1"],
+     {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], ["iso", "3"]]},
+     "error parse bad role ['iso', '3']"),
+    (["map-sat", "--assignment", "1"], {"kind": "sat-scheduling-instance", "n_vars": 2},
+     "error parse metadata has no 'clauses' field"),
+    (["map-sat", "--assignment", "1"],
+     {k: v for k, v in SAT_META_P4.items() if k != "literal_vertex"},
+     "error parse metadata has no 'literal_vertex' field"),
 ], ids=["schedule-duplicate", "schedule-range", "schedule-k0", "schedule-rounds0",
         "gen-vc-q", "gen-vc-connected-k", "map-vc-kind", "map-vc-roles",
         "map-sat-kind", "map-sat-literal", "map-sat-clause", "map-sat-repeated-variable",
-        "map-sat-repeated-vertex", "map-sat-ordering-token", "map-vc-cover-token"])
+        "map-sat-repeated-vertex", "map-sat-ordering-token", "map-vc-cover-token",
+        "map-vc-not-object", "map-sat-not-object", "map-vc-no-roles", "map-vc-role-not-list",
+        "map-vc-role-short", "map-vc-role-tag", "map-vc-role-field", "map-sat-no-clauses",
+        "map-sat-no-literal-vertex"])
 def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, argv, meta, first_line):
     argv = [*argv, "--graph", p4]
     if argv[0] == "gen-vc":
@@ -276,3 +299,110 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# one row per subcommand and outcome: exact stdout bytes and exit code, run
+# from a directory holding the inputs so every path in the report is fixed
+GOLDEN = [
+    ("simulate-valid", ["simulate", "--graph", "g.txt", "--schedule", "ok.txt"], 0,
+     "command simulate\ngraph g.txt\nschedule ok.txt\nn 4\nm 3\nk 1\nvalid true\n"
+     "completion_round 2\nburn_round 2 1 2 2\n"),
+    ("simulate-invalid", ["simulate", "--graph", "g.txt", "--schedule", "bad.txt"], 1,
+     "command simulate\ngraph g.txt\nschedule bad.txt\nn 4\nm 3\nk 1\nvalid false\n"
+     "completion_round 4\nburn_round 1 2 3 4\nviolation 2 1 already burnt at ignition\n"
+     "violation 3 -1 batch size 0, expected 1\n"),
+    ("lower-bound", ["lower-bound", "--graph", "g.txt", "--verify-linear"], 0,
+     "command lower-bound\ngraph g.txt\nn 4\nm 3\nk 1\nverify_linear true\nlower_bound 2\n"),
+    ("approx", ["approx", "--graph", "g.txt", "--schedule-out", "a.txt"], 0,
+     "command approx\ngraph g.txt\nn 4\nm 3\nk 1\nlower_bound 2\ncompletion_round 3\n"
+     "ratio_bound 6\nk 1\nrounds 2\nschedule_round 1 0\nschedule_round 2 2\n"
+     "schedule_file a.txt\n"),
+    ("exact", ["exact", "--graph", "g.txt"], 0,
+     "command exact\ngraph g.txt\nn 4\nm 3\nk 1\nburning_number 2\nk 1\nrounds 2\n"
+     "schedule_round 1 1\nschedule_round 2 3\n"),
+    ("schedule-feasible", ["schedule", "--graph", "g.txt", "--sources", "1,3"], 0,
+     "command schedule\ngraph g.txt\nk 1\nsources 1 3\nround_budget 2\nfeasible true\n"
+     "ignite 1 1\nignite 3 2\n"),
+    ("schedule-infeasible",
+     ["schedule", "--graph", "g.txt", "--sources", "0,3", "--max-rounds", "2"], 0,
+     "command schedule\ngraph g.txt\nk 1\nsources 0 3\nround_budget 2\nfeasible false\n"),
+    ("gen-vc", ["gen-vc", "--graph", "g.txt", "--q", "2", "--out", "vc"], 0,
+     "command gen-vc\ngraph g.txt\nk 1\nq 2\nconnected false\ngadget_n 57\ngadget_m 45\n"
+     "round_bound 13\ngraph_file vc.graph.txt\nmeta_file vc.meta.json\n"),
+    ("gen-sat", ["gen-sat", "--cnf", "f.cnf", "--out", "sat"], 0,
+     "command gen-sat\ncnf f.cnf\nvariables 2\nclauses 1\ngadget_n 13\ngadget_m 11\n"
+     "round_budget 4\ngraph_file sat.graph.txt\nmeta_file sat.meta.json\n"),
+    ("map-vc-cover",
+     ["map-vc", "--graph", "vc.graph.txt", "--meta", "vc.meta.json", "--cover", "2,1"], 0,
+     "command map-vc\ngraph vc.graph.txt\nmeta vc.meta.json\ndirection cover-to-schedule\n"
+     "cover 1 2\ncompletion_round 13\nk 1\nrounds 13\nschedule_round 1 1\n"
+     "schedule_round 2 2\nschedule_round 3 46\n"
+     "schedule_round 4 47\nschedule_round 5 48\nschedule_round 6 49\n"
+     "schedule_round 7 50\nschedule_round 8 51\nschedule_round 9 52\n"
+     "schedule_round 10 53\nschedule_round 11 54\nschedule_round 12 55\n"
+     "schedule_round 13 56\n"),
+    ("map-vc-schedule",
+     ["map-vc", "--graph", "vc.graph.txt", "--meta", "vc.meta.json", "--schedule", "vc.s.txt"],
+     0,
+     "command map-vc\ngraph vc.graph.txt\nmeta vc.meta.json\ndirection schedule-to-cover\n"
+     "cover_size 2\ncover 1 2\n"),
+    ("map-sat-assignment",
+     ["map-sat", "--graph", "sat.graph.txt", "--meta", "sat.meta.json", "--assignment", "1,2"],
+     0,
+     "command map-sat\ngraph sat.graph.txt\nmeta sat.meta.json\n"
+     "direction assignment-to-ordering\nignite 0 1\nignite 1 2\nignite 2 3\nignite 3 4\n"),
+    ("map-sat-ordering",
+     ["map-sat", "--graph", "sat.graph.txt", "--meta", "sat.meta.json",
+      "--ordering", "1@1,0@2,2@3,3@4"], 0,
+     "command map-sat\ngraph sat.graph.txt\nmeta sat.meta.json\n"
+     "direction ordering-to-assignment\nassignment -1 2\n"),
+    ("path-number", ["path-number", "--n", "9", "--k", "2"], 0,
+     "command path-number\nn 9\nk 2\nburning_number 3\n"),
+    ("path-schedule", ["path-schedule", "--n", "9", "--k", "2"], 0,
+     "command path-schedule\nn 9\nk 2\nburning_number 3\nk 2\nrounds 2\n"
+     "schedule_round 1 2 6\nschedule_round 2 0 4\n"),
+]
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text("4 3\n0 1\n1 2\n2 3\n")
+    (tmp_path / "ok.txt").write_text("1 2\n1\n3\n")
+    (tmp_path / "bad.txt").write_text("1 2\n0\n1\n")
+    (tmp_path / "f.cnf").write_text("p cnf 2 1\n1 2 -1 0\n")
+    for argv in (["gen-vc", "--graph", "g.txt", "--q", "2", "--out", "vc"],
+                 ["gen-sat", "--cnf", "f.cnf", "--out", "sat"],
+                 ["map-vc", "--graph", "vc.graph.txt", "--meta", "vc.meta.json",
+                  "--cover", "1,2", "--schedule-out", "vc.s.txt"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code, out", [row[1:] for row in GOLDEN],
+                         ids=[row[0] for row in GOLDEN])
+def test_golden_stdout(capsys, golden_dir, argv, code, out):
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
+def test_exit_routes(capsys, tmp_path, p4, monkeypatch):
+    def broken(g, k):
+        raise RuntimeError("certification failed")
+
+    monkeypatch.setattr("burnkit.cli.approx_schedule", broken)
+    code, out, err = run(capsys, "approx", "--graph", p4)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == "error invalid certification failed"
+
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"4 3\n0 1\n\xff\n")
+    sched = tmp_path / "s.txt"
+    sched.write_text("1 2\n1\n3\n")
+    for argv, prefix in (
+        (["--graph", undecodable, "--schedule", sched], f"error parse graph {undecodable}: "),
+        (["--graph", p4, "--schedule", undecodable], f"error parse schedule {undecodable}: "),
+    ):
+        code, out, err = run(capsys, "simulate", *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0].startswith(prefix)
