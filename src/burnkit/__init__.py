@@ -13,6 +13,7 @@ from .burning import (
     Schedule,
     ScheduleError,
     Violation,
+    check_labels,
     completion_closed_form,
     ignition_list,
     pad_schedule,
@@ -85,6 +86,7 @@ __all__ = [
     "bfs_distances",
     "build_sat_instance",
     "build_vc_instance",
+    "check_labels",
     "complete_graph",
     "completion_closed_form",
     "connected_components",

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from math import log
 
-from .burning import Schedule, _run_rounds, simulate
+from .burning import Schedule, _run_rounds, check_labels
 from .graph import Graph
 
 
@@ -228,18 +228,18 @@ def approx_schedule(g: Graph, k: int) -> ApproxResult:
 
     Ignites the members of M(j) in pick order, k per round, then pads to
     strict semantics.  Every vertex is within 2j hops of a member ignited
-    by round j, so completion <= 3j; the simulation double-checks that.
+    by round j, so completion <= 3j.  The padding pass's own burn rounds
+    certify the result: ``check_labels``, which shares no code with the
+    round loop, verifies them against the graph and returns the
+    completion, and RuntimeError is raised should it exceed 3j.
     """
     j, order = _search_lower_bound(g, k)
     batches = [order[i:i + k] for i in range(0, len(order), k)]
     # members are pairwise > 2j apart while batches span <= j rounds, so no
     # ignition can be preempted by propagation; the pad policy only tops up
-    sched = Schedule(k, _run_rounds(g, k, batches, "pad")[3])
-    report = simulate(g, sched, strict=True)
-    if not report.valid:
-        raise RuntimeError("padded ignition schedule failed strict validation")
-    if report.completion_round > 3 * j:
-        raise RuntimeError(
-            f"completion {report.completion_round} exceeds 3*{j}; round semantics bug"
-        )
-    return ApproxResult(j, sched, report.completion_round)
+    burn, _, _, padded = _run_rounds(g, k, batches, "pad")
+    sched = Schedule(k, padded)
+    completion = check_labels(g, sched, burn)
+    if completion > 3 * j:
+        raise RuntimeError(f"completion {completion} exceeds 3*{j}; round semantics bug")
+    return ApproxResult(j, sched, completion)

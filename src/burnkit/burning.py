@@ -18,16 +18,19 @@ use (fixed-source scheduling produces such round patterns); certificates
 in this package are always checked strictly.  Checking (``simulate``),
 padding (``pad_schedule``) and judging fixed-source orderings
 (``exact.ordering_feasible``, which certifies each witness the scheduler's
-distance-based search returns) run one round loop, so
-``completion_closed_form``, which shares no code with it, is the one
-independent cross-check.
+distance-based search returns) run one round loop.  Two checks share no
+code with it: ``check_labels`` certifies a schedule strictly from its
+claimed burn rounds (``approx_schedule`` certifies with it), and
+``completion_closed_form`` recomputes the completion round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import NamedTuple
+from itertools import islice, repeat
+from math import inf
+from operator import add
+from typing import NamedTuple, Sequence
 
 from .graph import Graph
 
@@ -186,6 +189,72 @@ def simulate(g: Graph, s: Schedule, strict: bool = True) -> BurnReport:
         valid=not violations,
         violations=violations,
     )
+
+
+def check_labels(g: Graph, s: Schedule, labels: Sequence[int]) -> int:
+    """Certify ``s`` strictly from its claimed burn rounds; return its completion.
+
+    ``labels[v]`` claims the round vertex v burns.  The check reads each
+    adjacency list once, in vertex-id order, and shares no code with the
+    round loop but the structural ``validate_schedule``.  With m(v) the
+    least label among v's neighbours (infinite when it has none), it
+    raises RuntimeError unless every label is an int and:
+
+    - a vertex ignited at round r has label r and m(v) >= r;
+    - any other vertex has label m(v) + 1;
+    - every round t in 1..max(completion, listed rounds) ignites exactly
+      min(k, #{labels > t} + |batch t|) vertices.
+
+    The least label then belongs to an ignited vertex (any other is one
+    above a neighbour's), so every label is at least 1.  Before the
+    completion round #{labels > t} >= 1, so the batch-size condition asks
+    for exactly k there; from the completion round on it asks only what
+    the labels already imply, so that is what the code checks.
+
+    The labels are exactly the burn rounds, by induction on t.  Suppose
+    the vertices labelled below t are those burnt before round t.
+    Propagation at round t reaches an unburnt v iff a neighbour is
+    labelled below t, that is iff m(v) < t.  A vertex labelled t that is
+    not ignited has m(v) = t - 1, so propagation burns it now.  One
+    ignited at round t has m(v) >= t, so it is still unburnt and its
+    ignition is legal.  A vertex labelled above t has m(v) >= t and is not
+    in batch t, so it stays unburnt.  Hence the vertices labelled t are
+    those burnt at round t, every vertex burns (labels are finite), and
+    the unburnt count after propagation at round t is #{labels > t} +
+    |batch t|: the batch-size condition is strict validity itself.
+    """
+    validate_schedule(g, s)
+    n, rounds = g.n, s.rounds
+    labels = list(labels)
+    if len(labels) != n:
+        raise RuntimeError(f"{len(labels)} labels for {n} vertices")
+    if not set(map(type, labels)) <= {int}:
+        raise RuntimeError("labels must be integers")
+    # want[v] = m(v) + 1, the least of the neighbours' labels plus one; an
+    # isolated vertex reads the sentinel at index n
+    plus1 = [*map(add, labels, repeat(1)), inf]
+    adj = g.adj if all(g.adj) else [a or [n] for a in g.adj]
+    want = list(map(min, map(map, repeat(plus1.__getitem__), adj)))
+    for r, batch in enumerate(rounds, start=1):
+        for v in batch:
+            if labels[v] != r:
+                raise RuntimeError(f"vertex {v}: ignited at round {r} but labelled {labels[v]}")
+            if want[v] <= r:
+                raise RuntimeError(f"vertex {v}: ignited at round {r}, "
+                                   f"but propagation reaches it at round {want[v]}")
+            want[v] = r
+    if want != labels:
+        v = next(v for v in range(n) if want[v] != labels[v])
+        if want[v] == inf:
+            raise RuntimeError(f"vertex {v}: never burns, yet labelled {labels[v]}")
+        raise RuntimeError(f"vertex {v}: labelled {labels[v]}, "
+                           f"but propagation reaches it at round {want[v]}")
+    completion = max(labels, default=0)
+    for t in range(1, completion):
+        size = len(rounds[t - 1]) if t <= len(rounds) else 0
+        if size != s.k:
+            raise RuntimeError(f"round {t}: batch size {size}, expected {s.k}")
+    return completion
 
 
 def completion_closed_form(g: Graph, ignitions: list[tuple[int, int]]) -> int:

@@ -10,8 +10,8 @@ on stderr, before the ``elapsed_ms`` line every run ends with:
 - 1 ``invalid``: a ``RuntimeError``, i.e. an invalid ``simulate``
   schedule, a failed ``map-*`` mapping or a failed internal certification;
 - 2 ``parse``: a ``ValueError``, i.e. a usage error or any unreadable or
-  malformed input, gadget sidecars included (argparse's own usage errors
-  exit 2 as well);
+  malformed input, gadget sidecars included, or a ``--max-rounds`` below 1
+  (argparse's own usage errors exit 2 as well);
 - 3 ``limit``: an ``UndeterminedError``, i.e. ``--max-rounds`` or
   ``--time-budget`` ran out.
 """
@@ -280,10 +280,11 @@ def _cmd_map_sat(args) -> None:
 
 
 def _cmd_path_number(args) -> None:
+    b = path_burning_number(args.n, args.k)
     print("command", "path-number")
     print("n", args.n)
     print("k", args.k)
-    print("burning_number", path_burning_number(args.n, args.k))
+    print("burning_number", b)
 
 
 def _cmd_path_schedule(args) -> None:

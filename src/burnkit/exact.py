@@ -100,8 +100,11 @@ def exact_burning_number(
 
     Raises UndeterminedError when ``max_rounds`` or ``time_budget`` is
     exhausted first, the lower-bound probes and the precomputation
-    included; never returns a wrong number.
+    included; never returns a wrong number.  A ``max_rounds`` below 1 is
+    a ValueError, raised before any work, as in ``schedule_sources``.
     """
+    if max_rounds is not None and max_rounds < 1:
+        raise ValueError("round budget must be positive")
     n = g.n
     full = (1 << n) - 1
     deadline = time.monotonic() + time_budget if time_budget is not None else None

@@ -23,6 +23,7 @@ literals burning at odd rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .burning import Schedule, pad_schedule, simulate
 from .exact import SchedulingInstance, ordering_feasible
@@ -42,8 +43,10 @@ Role = tuple
 #   ("tail", u, v, i) i-th tail vertex of base edge (u, v)
 #   ("iso", i)        i-th isolated vertex (backbone anchor in the connected variant)
 #   ("backbone", i)   i-th non-anchor backbone path vertex (connected variant only)
-# entries per role, tag included, as vc_instance_meta writes them
-_ROLE_SIZE = {"v": 2, "e": 3, "d": 4, "tail": 4, "iso": 2, "backbone": 2}
+# fields per role after the tag, as vc_instance_meta writes them: how many
+# base-graph vertex ids (0..n-1), then how many 1-based indices
+_ROLE_FIELDS = {"v": (1, 0), "e": (2, 0), "d": (2, 1), "tail": (2, 1), "iso": (0, 1),
+                "backbone": (0, 1)}
 
 
 @dataclass
@@ -468,11 +471,32 @@ def vc_instance_meta(inst: VcInstance) -> dict:
     }
 
 
-def _role(role) -> Role:
-    if (isinstance(role, list) and role and isinstance(role[0], str)
-            and len(role) == _ROLE_SIZE.get(role[0])
-            and all(type(x) is int for x in role[1:])):
-        return tuple(role)
+def _fits(x, lo: float, hi: float = inf) -> bool:
+    """Whether x is an int (a bool is not) in lo..hi: the sidecar loaders' one check."""
+    return type(x) is int and lo <= x <= hi
+
+
+def _field(meta: dict, key: str, lo: float, hi: float = inf) -> int:
+    x = meta[key]
+    if not _fits(x, lo, hi):
+        raise ReductionError(f"bad {key} {x!r}")
+    return x
+
+
+def _list(meta: dict, key: str) -> list:
+    xs = meta[key]
+    if not isinstance(xs, list):
+        raise ReductionError(f"bad {key} {xs!r}")
+    return xs
+
+
+def _role(role, n: int) -> Role:
+    if isinstance(role, list) and role and isinstance(role[0], str) and role[0] in _ROLE_FIELDS:
+        ids, indices = _ROLE_FIELDS[role[0]]
+        if (len(role) == 1 + ids + indices
+                and all(_fits(x, 0, n - 1) for x in role[1:1 + ids])
+                and all(_fits(x, 1) for x in role[1 + ids:])):
+            return tuple(role)
     raise ReductionError(f"bad role {role!r}")
 
 
@@ -480,11 +504,15 @@ def load_vc_instance(gprime: Graph, meta) -> VcInstance:
     if not isinstance(meta, dict) or meta.get("kind") != "vc-burning-instance":
         raise ReductionError("metadata is not a vc-burning instance")
     try:
-        roles = [_role(role) for role in meta["roles"]]
+        n = _field(meta, "n", 1)
+        k, q = _field(meta, "k", 1), _field(meta, "q", 1, n)
+        connected = meta["connected"]
+        if type(connected) is not bool:
+            raise ReductionError(f"bad connected {connected!r}")
+        roles = [_role(role, n) for role in _list(meta, "roles")]
         if len(roles) != gprime.n:
             raise ReductionError(f"{len(roles)} roles for {gprime.n} vertices")
-        return VcInstance(gprime, roles, int(meta["n"]), int(meta["k"]), int(meta["q"]),
-                          bool(meta["connected"]))
+        return VcInstance(gprime, roles, n, k, q, connected)
     except KeyError as e:
         raise ReductionError(f"metadata has no {e} field") from None
 
@@ -503,18 +531,51 @@ def sat_instance_meta(si: SatInstance) -> dict:
     }
 
 
+def _vertices(meta: dict, key: str, n: int) -> list[int]:
+    xs = _list(meta, key)
+    for x in xs:
+        if not _fits(x, 0, n - 1):
+            raise ReductionError(f"bad vertex {x!r} in {key}")
+    return xs
+
+
+def _literal_map(meta: dict, key: str, n_vars: int, n: int) -> dict[int, int]:
+    """``meta[key]`` as sat_instance_meta writes it: every literal to a vertex id."""
+    entries = meta[key]
+    if not isinstance(entries, dict):
+        raise ReductionError(f"bad {key} {entries!r}")
+    out: dict[int, int] = {}
+    for key_text, v in entries.items():
+        try:
+            lit = int(key_text)
+        except (TypeError, ValueError):
+            lit = 0  # not a literal, so out of range
+        if not (_fits(abs(lit), 1, n_vars) and _fits(v, 0, n - 1)):
+            raise ReductionError(f"bad {key} entry {key_text!r}: {v!r}")
+        out[lit] = v
+    if len(out) != 2 * n_vars:
+        raise ReductionError(f"{key} maps {len(out)} literals, expected {2 * n_vars}")
+    return out
+
+
 def load_sat_instance(graph: Graph, meta) -> SatInstance:
     if not isinstance(meta, dict) or meta.get("kind") != "sat-scheduling-instance":
         raise ReductionError("metadata is not a sat-scheduling instance")
     try:
-        cnf = Cnf3(int(meta["n_vars"]), tuple(tuple(c) for c in meta["clauses"]))
-        inst = SchedulingInstance(graph, tuple(meta["sources"]), int(meta["k"]))
+        n_vars = _field(meta, "n_vars", 1)
+        clauses = _list(meta, "clauses")
+        for c in clauses:
+            if not (isinstance(c, list) and all(_fits(lit, -inf) for lit in c)):
+                raise ReductionError(f"bad clause {c!r}")
+        cnf = Cnf3(n_vars, tuple(map(tuple, clauses)))  # checks arity and literal range
+        n = graph.n
+        inst = SchedulingInstance(graph, tuple(_vertices(meta, "sources", n)), _field(meta, "k", 1))
         return SatInstance(
             inst,
-            {int(lit): v for lit, v in meta["literal_vertex"].items()},
-            tuple(meta["clause_vertex"]),
+            _literal_map(meta, "literal_vertex", n_vars, n),
+            tuple(_vertices(meta, "clause_vertex", n)),
             cnf,
-            {int(lit): v for lit, v in meta["top_end"].items()},
+            _literal_map(meta, "top_end", n_vars, n),
         )
     except KeyError as e:
         raise ReductionError(f"metadata has no {e} field") from None

@@ -37,6 +37,33 @@ def graph_and_strict_schedule(draw, max_n: int = 12, max_k: int = 3):
     return g, random_strict_schedule(g, k, random.Random(seed))
 
 
+@st.composite
+def graph_and_schedule(draw, max_n: int = 10, max_k: int = 3):
+    """A graph with a structurally sound schedule, strict-valid or not.
+
+    Half are random strict schedules, some with a batch cut short or a
+    round appended; the rest are random batches of distinct vertices.
+    """
+    g = draw(graphs(min_n=0, max_n=max_n))
+    k = draw(st.integers(1, max_k))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if g.n and draw(st.booleans()):
+        s = random_strict_schedule(g, k, rng)
+        if s.rounds and draw(st.booleans()):
+            batch = rng.choice(s.rounds)
+            if batch and rng.random() < 0.5:
+                batch.pop()
+            else:
+                s.rounds.append([])
+        return g, s
+    order = list(range(g.n))
+    rng.shuffle(order)
+    rounds = []
+    while order and rng.random() < 0.8:
+        rounds.append(sorted(order.pop() for _ in range(min(len(order), rng.randint(0, k)))))
+    return g, Schedule(k, rounds)
+
+
 def random_strict_schedule(g: Graph, k: int, rng: random.Random) -> Schedule:
     """Sample a strict-valid schedule by running the process with random batches."""
     n = g.n

@@ -118,6 +118,32 @@ def test_approx_examples():
     assert res.lower_bound == 1 and res.completion == 2
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_approx_runs_the_round_loop_once_and_never_simulates(monkeypatch, k):
+    import burnkit.burning
+
+    calls = {"rounds": 0, "simulate": 0}
+    run_rounds, simulate_ = approx._run_rounds, burnkit.burning.simulate
+
+    def counted_rounds(*args):
+        calls["rounds"] += 1
+        return run_rounds(*args)
+
+    def counted_simulate(*args, **kwargs):
+        calls["simulate"] += 1
+        return simulate_(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "_run_rounds", counted_rounds)
+    monkeypatch.setattr(burnkit.burning, "simulate", counted_simulate)
+    assert not hasattr(approx, "simulate")  # so no call can bypass the counter
+    g = grid_graph(7, 9)
+    res = approx_schedule(g, k)
+    assert calls == {"rounds": 1, "simulate": 0}
+    monkeypatch.undo()
+    rep = simulate(g, res.schedule)
+    assert rep.valid and rep.completion_round == res.completion <= 3 * res.lower_bound
+
+
 def test_approx_deterministic():
     rng = random.Random(5)
     g = random_graph(rng, 30, 0.1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from burnkit import (
     Schedule,
     ScheduleError,
+    check_labels,
     completion_closed_form,
     graph_from_edges,
     ignition_list,
@@ -18,7 +19,12 @@ from burnkit import (
     simulate,
 )
 
-from .strategies import graph_and_strict_schedule, graphs, random_strict_schedule
+from .strategies import (
+    graph_and_schedule,
+    graph_and_strict_schedule,
+    graphs,
+    random_strict_schedule,
+)
 
 
 def all_strict_schedules(g, k, rounds):
@@ -124,6 +130,72 @@ def test_structural_rejections():
         simulate(g, Schedule(1, [[9]]))  # bad id
     with pytest.raises(ScheduleError):
         simulate(g, Schedule(0, [[0]]))  # bad spread factor
+
+
+def test_check_labels_accepts_burn_rounds():
+    assert check_labels(path_graph(4), Schedule(1, [[1], [3]]), [2, 1, 2, 2]) == 2
+    assert check_labels(graph_from_edges(0, []), Schedule(1, [[]]), []) == 0
+    # an isolated vertex burns only as a source; trailing empty rounds are fine
+    assert check_labels(graph_from_edges(2, []), Schedule(2, [[0, 1], []]), [1, 1]) == 1
+
+
+def test_check_labels_rejects_a_label_one_off():
+    g, s, labels = path_graph(4), Schedule(1, [[1], [3]]), [2, 1, 2, 2]
+    for v in range(g.n):
+        for delta in (-1, 1):
+            wrong = list(labels)
+            wrong[v] += delta
+            with pytest.raises(RuntimeError):
+                check_labels(g, s, wrong)
+
+
+def test_check_labels_rejects_a_dropped_source():
+    g = path_graph(4)
+    with pytest.raises(RuntimeError, match="vertex 3: labelled 2"):
+        check_labels(g, Schedule(1, [[1], []]), [2, 1, 2, 2])
+    # with the burn rounds of the shortened schedule, round 2 is a batch short
+    with pytest.raises(RuntimeError, match="round 2: batch size 0, expected 1"):
+        check_labels(g, Schedule(1, [[1], []]), [2, 1, 2, 3])
+
+
+def test_check_labels_rejects_an_ignition_propagation_reached_first():
+    with pytest.raises(RuntimeError, match="vertex 1: ignited at round 2, but propagation"):
+        check_labels(path_graph(4), Schedule(1, [[0], [1]]), [1, 2, 3, 4])
+
+
+def test_check_labels_rejects_one_short_batch():
+    g = path_graph(6)
+    assert check_labels(g, Schedule(2, [[0, 3], [5]]), [1, 2, 2, 1, 2, 2]) == 2
+    with pytest.raises(RuntimeError, match="round 1: batch size 1, expected 2"):
+        check_labels(g, Schedule(2, [[0], [3, 5]]), [1, 2, 3, 2, 3, 2])
+
+
+def test_check_labels_rejects_malformed_labels():
+    g, s = path_graph(2), Schedule(1, [[0]])
+    for labels in ([1], [1, 2.0], [1, True], [1, "2"]):
+        with pytest.raises(RuntimeError):
+            check_labels(g, s, labels)
+    with pytest.raises(RuntimeError, match="vertex 1: never burns"):
+        check_labels(graph_from_edges(2, []), Schedule(1, [[0]]), [1, 2])
+
+
+@settings(max_examples=300)
+@given(graph_and_schedule())
+def test_check_labels_agrees_with_simulate(gs):
+    g, s = gs
+    rep = simulate(g, s, strict=True)
+    labels = [r or 0 for r in rep.burn_round]
+    if not rep.valid:
+        with pytest.raises(RuntimeError):
+            check_labels(g, s, labels)
+        return
+    assert check_labels(g, s, labels) == rep.completion_round
+    for v in range(g.n):
+        for delta in (-1, 1):
+            wrong = list(labels)
+            wrong[v] += delta
+            with pytest.raises(RuntimeError):
+                check_labels(g, s, wrong)
 
 
 def test_closed_form_examples():

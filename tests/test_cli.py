@@ -192,13 +192,28 @@ VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected"
     (["map-sat", "--assignment", "1"],
      {k: v for k, v in SAT_META_P4.items() if k != "literal_vertex"},
      "error parse metadata has no 'literal_vertex' field"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "n": None}, "error parse bad n None"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "roles": 5}, "error parse bad roles 5"),
+    (["map-vc", "--cover", "1"],
+     {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], ["v", 4]]},
+     "error parse bad role ['v', 4]"),
+    (["map-sat", "--assignment", "1"], {**SAT_META_P4, "clauses": [1]},
+     "error parse bad clause 1"),
+    (["map-sat", "--assignment", "1"], {**SAT_META_P4, "literal_vertex": []},
+     "error parse bad literal_vertex []"),
+    (["map-sat", "--assignment", "1"],
+     {**SAT_META_P4, "top_end": {"1": 0, "-1": 1, "3": 2, "-2": 3}},
+     "error parse bad top_end entry '3': 2"),
+    (["exact", "--max-rounds", 0], None, "error parse round budget must be positive"),
 ], ids=["schedule-duplicate", "schedule-range", "schedule-k0", "schedule-rounds0",
         "gen-vc-q", "gen-vc-connected-k", "map-vc-kind", "map-vc-roles",
         "map-sat-kind", "map-sat-literal", "map-sat-clause", "map-sat-repeated-variable",
         "map-sat-repeated-vertex", "map-sat-ordering-token", "map-vc-cover-token",
         "map-vc-not-object", "map-sat-not-object", "map-vc-no-roles", "map-vc-role-not-list",
         "map-vc-role-short", "map-vc-role-tag", "map-vc-role-field", "map-sat-no-clauses",
-        "map-sat-no-literal-vertex"])
+        "map-sat-no-literal-vertex", "map-vc-n-null", "map-vc-roles-not-list",
+        "map-vc-role-range", "map-sat-clause-not-list", "map-sat-literal-vertex-not-object",
+        "map-sat-literal-key-range", "exact-rounds0"])
 def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, argv, meta, first_line):
     argv = [*argv, "--graph", p4]
     if argv[0] == "gen-vc":
@@ -211,6 +226,15 @@ def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, argv, meta, f
     assert code == 2
     assert out == ""
     assert err.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("argv", [["path-number", "--n", -3], ["path-schedule", "--n", 0],
+                                  ["path-number", "--n", 5, "--k", 0]])
+def test_bad_path_input_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error parse n and k must be positive"
 
 
 def test_vc_generation_and_mapping(capsys, tmp_path, p4):
