@@ -17,11 +17,11 @@ A lenient mode that tolerates undersized batches exists for exploratory
 use (fixed-source scheduling produces such round patterns); certificates
 in this package are always checked strictly.  Checking (``simulate``),
 padding (``pad_schedule``) and judging fixed-source orderings
-(``exact.ordering_feasible``, which certifies each witness the scheduler's
-distance-based search returns) run one round loop.  Two checks share no
-code with it: ``check_labels`` certifies a schedule strictly from its
-claimed burn rounds (``approx_schedule`` certifies with it), and
-``completion_closed_form`` recomputes the completion round.
+(``exact.ordering_feasible``, the scheduler's certificate) run one round
+loop.  Two checks share no code with it: ``check_labels`` certifies a
+schedule strictly from its claimed burn rounds (``approx_schedule`` and
+``exact_burning_number`` certify with it), and ``completion_closed_form``
+recomputes the completion round.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ on stderr, before the ``elapsed_ms`` line every run ends with:
 - 0: success;
 - 1 ``invalid``: a ``RuntimeError``, i.e. an invalid ``simulate``
   schedule, a failed ``map-*`` mapping or a failed internal certification;
-- 2 ``parse``: a ``ValueError``, i.e. a usage error or any unreadable or
-  malformed input, gadget sidecars included, or a ``--max-rounds`` below 1
-  (argparse's own usage errors exit 2 as well);
+- 2 ``parse``: a ``ValueError``, i.e. a usage error, any unreadable or
+  malformed input (gadget sidecars included), a ``--max-rounds`` below 1
+  or a negative or NaN ``--time-budget`` (argparse's errors exit 2 too);
 - 3 ``limit``: an ``UndeterminedError``, i.e. ``--max-rounds`` or
   ``--time-budget`` ran out.
 """

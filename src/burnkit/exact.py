@@ -16,7 +16,7 @@ from functools import cache
 from itertools import combinations
 
 from .approx import UndeterminedError, _search_lower_bound
-from .burning import Schedule, _run_rounds, simulate
+from .burning import Schedule, _run_rounds, check_labels
 from .graph import Graph
 
 
@@ -35,8 +35,8 @@ class SchedulingInstance:
         if not srcs:
             raise ValueError("need at least one source")
         for s in srcs:
-            if not (0 <= s < self.graph.n):
-                raise ValueError(f"invalid source id {s}")
+            if not isinstance(s, int) or not (0 <= s < self.graph.n):
+                raise ValueError(f"invalid source id {s!r}")
         if self.k < 1:
             raise ValueError("spread factor must be positive")
         self.sources = tuple(srcs)
@@ -59,6 +59,15 @@ def _bfs_order(g: Graph, s: int, max_depth: int) -> tuple[list[int], list[int]]:
                 order.append(u)
                 hops.append(d)
     return order, hops
+
+
+def _deadline(time_budget: float | None) -> float | None:
+    """The ``time.monotonic()`` reading at which ``time_budget`` seconds run out."""
+    if time_budget is None:
+        return None
+    if not time_budget >= 0:  # NaN fails every comparison
+        raise ValueError(f"time budget must be a non-negative number of seconds, got {time_budget}")
+    return time.monotonic() + time_budget
 
 
 def _grow_balls(g: Graph, ball: list[list[int]], deadline: float | None) -> None:
@@ -92,22 +101,30 @@ def exact_burning_number(
     could (k times the largest ball each).  The enumeration carries the
     union of each batch prefix and skips every extension of a prefix whose
     count plus (slots left) times the largest ball is below ``need``.
-    Balls are bitmasks grown one radius at a time, each vertex's as the
-    union of its neighbours' balls one radius smaller, and only up to
-    radius L - 1 of the depth being tried.  The approximation burns
-    everything within 3j rounds, so a depth past 3j raises RuntimeError,
-    as does a witness the round engine rejects.
+    Before listing candidates, a node at round r with R = L - r and
+    2R <= L - 1 applies the paper's packing bound: it takes its lowest-id
+    uncovered vertex, clears that vertex's radius-2R ball, repeats, and
+    gives up once more than k(L - r + 1) are taken.  Those are pairwise more than 2R apart, and
+    each of the at most k(L - r + 1) sources left has radius <= R, so its
+    ball holds at most one: a cut drops no covering family, and the
+    search reaches the same first one.  Balls are bitmasks grown one
+    radius at a time, each vertex's as the union of its neighbours' balls
+    one radius smaller, and only up to radius L - 1 of the depth tried.
+    The approximation burns everything within 3j rounds, so a depth past
+    3j raises RuntimeError, as does a witness that ``check_labels`` (on
+    the padding pass's burn rounds) rejects or finds not to end at L.
 
     Raises UndeterminedError when ``max_rounds`` or ``time_budget`` is
     exhausted first, the lower-bound probes and the precomputation
-    included; never returns a wrong number.  A ``max_rounds`` below 1 is
-    a ValueError, raised before any work, as in ``schedule_sources``.
+    included; never returns a wrong number.  A ``max_rounds`` below 1 and
+    a negative or NaN ``time_budget`` are ValueErrors, raised before any
+    work, as in ``schedule_sources``; an infinite budget sets no limit.
     """
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("round budget must be positive")
+    deadline = _deadline(time_budget)
     n = g.n
     full = (1 << n) - 1
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
     start_l = _search_lower_bound(g, k, deadline)[0]
     top = 3 * start_l  # b <= 3j: the approximation completes within 3j rounds
     # ball[v][d] = bitmask of the vertices within d hops of v, grown one
@@ -128,6 +145,13 @@ def exact_burning_number(
                 raise UndeterminedError("time budget exhausted")
             uncovered = full & ~covered
             radius = limit - r
+            if 2 * radius < limit:  # the packing bound reads only grown radii
+                rest, room = uncovered, k * (limit - r + 1)
+                while rest:
+                    room -= 1
+                    if room < 0:
+                        return None
+                    rest &= ~ball[(rest & -rest).bit_length() - 1][2 * radius]
             cands = [v for v in range(n) if ball[v][radius] & uncovered]
             masks = [ball[v][radius] for v in cands]
             take = min(k, len(cands))
@@ -169,9 +193,13 @@ def exact_burning_number(
         if batches is not None:
             break
         depth += 1
-    witness = Schedule(k, _run_rounds(g, k, batches, "pad")[3])
-    report = simulate(g, witness, strict=True)
-    if not (report.valid and report.completion_round == depth):
+    burn, _, _, padded = _run_rounds(g, k, batches, "pad")
+    witness = Schedule(k, padded)
+    try:
+        certified = check_labels(g, witness, burn) == depth
+    except RuntimeError:
+        certified = False
+    if not certified:
         raise RuntimeError(f"search returned a witness the round engine rejects at depth {depth}")
     return depth, witness
 
@@ -239,31 +267,28 @@ def ordering_feasible(
     """Check a full round assignment: capacity, ignition order, coverage.
 
     Every source must get a round in 1..rounds with at most k per round.
-    The ordering is then run as a lenient schedule by ``simulate``, the
-    package's one round loop: every source must still be unburnt when
-    ignited, and every vertex must burn by the deadline.  The reason
-    names the first source found burnt at its ignition (earliest round,
-    then the ordering's order within a round), else the smallest vertex
-    that burns late or never.
+    That makes it a well-formed schedule, run as it is through the
+    package's one round loop, leniently: every source must still be
+    unburnt when ignited, and every vertex must burn by the deadline.
+    The reason names the first source found burnt at its ignition
+    (earliest round, then the ordering's order within a round), else the
+    smallest vertex that burns late or never.
     """
     if sorted(ordering) != list(inst.sources):
         return False, "ordering must assign exactly the instance sources"
-    per_round: dict[int, int] = {}
+    batches: list[list[int]] = [[] for _ in range(rounds)]
     for s, r in ordering.items():
         if not (1 <= r <= rounds):
             return False, f"source {s} assigned round {r} outside 1..{rounds}"
-        per_round[r] = per_round.get(r, 0) + 1
-        if per_round[r] > inst.k:
-            return False, f"round {r} ignites more than k={inst.k} sources"
-    batches: list[list[int]] = [[] for _ in range(rounds)]
-    for s, r in ordering.items():
         batches[r - 1].append(s)
-    report = simulate(inst.graph, Schedule(inst.k, batches), strict=False)
-    for v in report.violations:
+        if len(batches[r - 1]) > inst.k:
+            return False, f"round {r} ignites more than k={inst.k} sources"
+    burn, _, violations, _ = _run_rounds(inst.graph, inst.k, batches, "lenient")
+    for v in violations:
         if v.reason == "already burnt at ignition":
             return False, f"source {v.vertex} is already burnt at round {v.round}"
-    for v, t in enumerate(report.burn_round):
-        if t is None or t > rounds:
+    for v, t in enumerate(burn):
+        if not 0 < t <= rounds:
             return False, f"vertex {v} does not burn by round {rounds}"
     return True, ""
 
@@ -304,8 +329,8 @@ def schedule_sources(
     ``ordering_feasible``, which runs the round loop, and RuntimeError is
     raised should it disagree: no witness is returned unchecked.
 
-    Raises UndeterminedError when ``time_budget`` (seconds) runs out
-    before the search settles.
+    Raises UndeterminedError when ``time_budget`` (seconds) runs out before
+    the search settles, and ValueError before any work if it is < 0 or NaN.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:
@@ -314,7 +339,7 @@ def schedule_sources(
         rounds = -(-len(srcs) // inst.k)
     if rounds < 1:
         raise ValueError("round budget must be positive")
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    deadline = _deadline(time_budget)
     n = inst.graph.n
     k = inst.k
     full = (1 << n) - 1

@@ -134,6 +134,16 @@ def test_schedule_command(capsys, tmp_path):
     assert err.splitlines()[0].startswith("error limit")
 
 
+def test_an_infinite_time_budget_sets_no_limit(capsys, p4):
+    code, out, _ = run(capsys, "exact", "--graph", p4, "--time-budget", "inf")
+    assert code == 0
+    assert parse_report(out)["burning_number"] == ["2"]
+    code, out, _ = run(capsys, "schedule", "--graph", p4, "--sources", "0,3", "--max-rounds", 3,
+                       "--time-budget", "inf")
+    assert code == 0
+    assert parse_report(out)["feasible"] == ["true"]
+
+
 VC_META_BAD_ROLES = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2,
                      "connected": False, "roles": [["v", 0]]}
 # a well-formed two-variable instance over the 4-vertex path
@@ -205,6 +215,14 @@ VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected"
      {**SAT_META_P4, "top_end": {"1": 0, "-1": 1, "3": 2, "-2": 3}},
      "error parse bad top_end entry '3': 2"),
     (["exact", "--max-rounds", 0], None, "error parse round budget must be positive"),
+    (["exact", "--time-budget", "nan"], None,
+     "error parse time budget must be a non-negative number of seconds, got nan"),
+    (["exact", "--time-budget", -1], None,
+     "error parse time budget must be a non-negative number of seconds, got -1.0"),
+    (["schedule", "--sources", "0,3", "--time-budget", "nan"], None,
+     "error parse time budget must be a non-negative number of seconds, got nan"),
+    (["schedule", "--sources", "0,3", "--time-budget", -0.5], None,
+     "error parse time budget must be a non-negative number of seconds, got -0.5"),
 ], ids=["schedule-duplicate", "schedule-range", "schedule-k0", "schedule-rounds0",
         "gen-vc-q", "gen-vc-connected-k", "map-vc-kind", "map-vc-roles",
         "map-sat-kind", "map-sat-literal", "map-sat-clause", "map-sat-repeated-variable",
@@ -213,7 +231,8 @@ VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected"
         "map-vc-role-short", "map-vc-role-tag", "map-vc-role-field", "map-sat-no-clauses",
         "map-sat-no-literal-vertex", "map-vc-n-null", "map-vc-roles-not-list",
         "map-vc-role-range", "map-sat-clause-not-list", "map-sat-literal-vertex-not-object",
-        "map-sat-literal-key-range", "exact-rounds0"])
+        "map-sat-literal-key-range", "exact-rounds0", "exact-budget-nan",
+        "exact-budget-negative", "schedule-budget-nan", "schedule-budget-negative"])
 def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, argv, meta, first_line):
     argv = [*argv, "--graph", p4]
     if argv[0] == "gen-vc":

@@ -424,6 +424,23 @@ def test_exact_matches_reference_search():
     assert ks == {1, 2, 3}
 
 
+def test_exact_matches_reference_search_where_the_packing_bound_cuts():
+    # sparse graphs of 25-40 vertices with b >= 4, k = 1 and 2 in turn: the
+    # packing bound, which the reference search lacks, cuts nodes in each
+    rng = random.Random(7)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(25, 40)
+        k = 1 + checked % 2
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n // 4))
+        b, witness = exact_burning_number(g, k)
+        if b < 4:
+            continue
+        ref_b, ref_witness = reference_exact_burning_number(g, k)
+        assert (b, witness.rounds) == (ref_b, ref_witness.rounds), (g.adj, k)
+        checked += 1
+
+
 def reference_search_lower_bound(g, k):
     """The lower-bound search as it was before probes returned truncated
     orders: a gallop of early-exit probes that record nothing when they

@@ -19,12 +19,11 @@ from burnkit import (
     grid_graph,
     naive_oracle,
     ordering_feasible,
+    path_burning_number,
     path_graph,
     schedule_sources,
     simulate,
 )
-
-from burnkit.burning import BurnReport
 
 from .strategies import graphs, random_connected_graph, random_graph
 
@@ -192,6 +191,12 @@ def test_scheduling_instance_validation():
         SchedulingInstance(g, (0,), 0)
 
 
+def test_scheduling_instance_rejects_a_non_integer_source():
+    # ordering_feasible feeds the sources to the round loop as list indices
+    with pytest.raises(ValueError, match="invalid source id 4.0"):
+        SchedulingInstance(path_graph(5), (0, 4.0), 1)
+
+
 def test_schedule_sources_examples():
     inst = SchedulingInstance(path_graph(5), (0, 4), 1)
     assert schedule_sources(inst, 3) == {0: 1, 4: 2}
@@ -269,11 +274,41 @@ def test_schedule_sources_memory_on_a_long_path():
 
 def test_exact_raises_on_a_witness_the_round_engine_rejects(monkeypatch):
     # the witness check is a raise, not an assert that python -O strips
-    rejected = BurnReport(burn_round=[None] * 4, completion_round=0, valid=False, violations=[])
-    monkeypatch.setattr(exact, "simulate", lambda g, s, strict=True: rejected)
+    def rejected(g, s, labels):
+        raise RuntimeError("vertex 0: labelled 1, but propagation reaches it at round 3")
+
+    monkeypatch.setattr(exact, "check_labels", rejected)
     with pytest.raises(RuntimeError, match="round engine rejects") as exc:
         exact_burning_number(path_graph(4), 1)
     assert not isinstance(exc.value, UndeterminedError)
+
+
+def test_exact_raises_on_a_witness_completing_off_its_depth(monkeypatch):
+    monkeypatch.setattr(exact, "check_labels", lambda g, s, labels: 3)
+    with pytest.raises(RuntimeError, match="round engine rejects at depth 2"):
+        exact_burning_number(path_graph(4), 1)
+
+
+def test_exact_matches_the_path_formula_at_depths_the_packing_bound_reads():
+    # b = ceil(sqrt(n / k)) is 4 to 8 here.  On a path the volume test
+    # settles every node, so the packing bound reads nodes without cutting
+    # them; one that allowed a round fewer would cut the optimum
+    for n in range(21, 61):
+        for k in (1, 2):
+            assert exact_burning_number(path_graph(n), k)[0] == path_burning_number(n, k), (n, k)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -float("inf")])
+def test_a_nan_or_negative_budget_is_rejected_before_any_work(monkeypatch, budget):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(exact, "_search_lower_bound", no_work)
+    monkeypatch.setattr(exact, "_bfs_order", no_work)
+    with pytest.raises(ValueError, match="time budget must be a non-negative number"):
+        exact_burning_number(path_graph(9), 1, time_budget=budget)
+    with pytest.raises(ValueError, match="time budget must be a non-negative number"):
+        schedule_sources(SchedulingInstance(path_graph(5), (0, 4), 1), 3, time_budget=budget)
 
 
 def test_exact_on_disconnected_components():
