@@ -130,9 +130,11 @@ def _search_lower_bound(
     After two guesses in a row the search takes a plain doubling or
     midpoint, so the probe count stays within a constant factor of a
     binary search.  Every j it settles on is a successful probe with a
-    failed one at j - 1 (or j = 1), so under the assumption that the
-    greedy set sizes shrink as the radius grows the answer is the same
-    as any bisection's.  With a ``deadline`` (``time.monotonic()``
+    failed one at j - 1 (or j = 1), whose k(j-1) + 1 picks, pairwise
+    more than 2(j-1) apart, certify b >= j: a source of a (j-1)-round
+    schedule covers radius <= j - 2, so at most one pick.  If the sizes
+    shrink as the radius grows, j is also the least index that holds, as
+    any bisection's.  With a ``deadline`` (``time.monotonic()``
     seconds) every probe reads the clock once per pick and raises
     UndeterminedError once it has passed.  An empty graph or k < 1
     raises ValueError, for every solver that starts here.
@@ -201,16 +203,16 @@ def _search_lower_bound(
 
 
 def lower_bound(g: Graph, k: int, verify_linear: bool = False) -> int:
-    """Smallest index j with |M(j)| <= k*j; a certified floor on b_k.
+    """An index j with |M(j)| <= k*j and |M(j-1)| > k*(j-1); a floor on b_k.
 
     The search extrapolates the greedy set sizes, exact ones and those
     that failed probes estimate from their truncated pick orders, and
-    confirms a guessed j by a failed probe at j - 1.  It assumes the sizes
-    shrink as the radius grows (the predicate is always true at j = n,
-    where the members are one per component).  With ``verify_linear`` the
-    predicate is re-evaluated at every j' < j, each probe stopping at
-    k*j' + 1 picks, and a violation of the monotonicity assumption raises
-    instead of returning a bad bound.
+    settles on j only with a failed probe at j - 1, whose picks make
+    b_k >= j sound with no assumption on the sizes.  That j is also the
+    least index that holds if the sizes shrink as the radius grows (at
+    j = n the members are one per component).  With ``verify_linear``
+    every j' < j is probed again, each stopping at k*j' + 1 picks, and a
+    j' that holds raises: the bound stays sound but is not the least.
     """
     j, _ = _search_lower_bound(g, k)
     if verify_linear:

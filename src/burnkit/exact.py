@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .approx import UndeterminedError, _search_lower_bound
 from .burning import Schedule, _run_rounds, check_labels
-from .graph import Graph
+from .graph import Graph, _bfs
 
 
 @dataclass
@@ -40,25 +40,6 @@ class SchedulingInstance:
         if self.k < 1:
             raise ValueError("spread factor must be positive")
         self.sources = tuple(srcs)
-
-
-def _bfs_order(g: Graph, s: int, max_depth: int) -> tuple[list[int], list[int]]:
-    """Vertices within ``max_depth`` hops of s in BFS visit order, with their hop counts."""
-    adj = g.adj
-    seen = [False] * g.n
-    seen[s] = True
-    order = [s]
-    hops = [0]
-    for x, d in zip(order, hops):  # both lists grow while the loop reads them
-        if d == max_depth:
-            break
-        d += 1
-        for u in adj[x]:
-            if not seen[u]:
-                seen[u] = True
-                order.append(u)
-                hops.append(d)
-    return order, hops
 
 
 def _deadline(time_budget: float | None) -> float | None:
@@ -307,7 +288,8 @@ def schedule_sources(
     and an optimistic completion bound that places every unassigned source
     at the earliest round with spare capacity.
 
-    One BFS per source lists the vertices it reaches in visit order with
+    One search per source, by the package's shared ``graph._bfs`` cut at
+    rounds - 1 hops, lists the vertices it reaches in visit order with
     their hop counts; those lists give the pairwise distances and the
     balls.  ``ball(i, d)`` (the vertices within d hops of the i-th source)
     and ``suffix(i, d)`` (the union of those balls over sources i onwards)
@@ -347,7 +329,7 @@ def schedule_sources(
     # each source's one BFS: the vertices it reaches nearest first, their
     # hop counts, and gap[j][i], the hops between sources j and i (rounds
     # when farther, a gap no two rounds in 1..rounds span)
-    order, hops = zip(*(_bfs_order(inst.graph, s, rounds - 1) for s in srcs))
+    order, hops = zip(*(_bfs(inst.graph, [s], rounds - 1) for s in srcs))
     gap = [[at.get(t, rounds) for t in srcs] for at in map(dict, map(zip, order, hops))]
 
     # masks are built on first use: a table of every radius would take

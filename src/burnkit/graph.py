@@ -4,6 +4,9 @@ Vertex ids are dense integers 0..n-1.  Graphs are simple and undirected,
 may be disconnected, and are treated as immutable once built: every
 algorithm in this package reads adjacency lists without mutating them,
 so sharing a graph across threads is safe.
+
+Every plain distance query in the package (``bfs_distances``, components,
+the fixed-source scheduler's balls) runs on the one search ``_bfs``.
 """
 
 from __future__ import annotations
@@ -170,23 +173,21 @@ def _read_ids(chunks: Iterable[str | bytes], vid: list[int] | None, size: int) -
     """The one converter: each slice's tokens as ints, then through ``vid`` if given.
 
     A canonical (bytes) slice, its spaces and LFs turned into commas, is
-    read as one JSON array by the C scanner.  A slice JSON rejects (a
-    leading zero such as ``007``, an empty digit run) and every other
-    slice go through ``int`` token by token.  The ids fill a list of
-    ``size`` slots made once: grown slice by slice instead, the list left
-    about 30 MB of outgrown buffers resident on the 1000x1000 grid.
-    Stops at the first slice with a token that is no integer or, through
-    ``vid``, no id below n, so the list comes out short.
+    read as one JSON array by the C scanner; every other slice goes
+    through ``int`` token by token.  The ids fill a list of ``size``
+    slots made once: grown slice by slice instead, the list left about
+    30 MB of outgrown buffers resident on the 1000x1000 grid.  Stops at
+    the first slice with a token that is no integer, that the scanner
+    rejects (a leading zero such as ``007``, an empty digit run) or,
+    through ``vid``, no id below n, so the list comes out short.
     """
     ids = [0] * size
     end = 0
     with suppress(ValueError, IndexError):
         for chunk in chunks:
-            tokens = None
             if isinstance(chunk, bytes):
-                with suppress(ValueError):
-                    tokens = json.loads(b"[" + chunk.translate(_COMMAS)[:-1] + b"]")
-            if tokens is None:
+                tokens = json.loads(b"[" + chunk.translate(_COMMAS)[:-1] + b"]")
+            else:
                 tokens = list(map(int, chunk.split()))
             if vid is not None:
                 tokens = list(map(vid.__getitem__, tokens))
@@ -304,6 +305,33 @@ class DistanceTable:
     dist: list[int | None]
 
 
+def _bfs(g: Graph, sources: Iterable[int], max_depth: int | None = None,
+         seen: list[bool] | None = None) -> tuple[list[int], list[int]]:
+    """The one breadth-first search: the vertices within ``max_depth`` hops
+    of the sources (every reachable one when None) in visit order, sources
+    first at hop 0, with their hop counts.  ``seen`` is updated in place,
+    and a vertex already marked in it is neither listed nor crossed."""
+    if seen is None:
+        seen = [False] * g.n
+    adj = g.adj
+    order = []
+    for s in sources:
+        if not seen[s]:
+            seen[s] = True
+            order.append(s)
+    hops = [0] * len(order)
+    for x, d in zip(order, hops):  # both lists grow while the loop reads them
+        if d == max_depth:
+            break
+        d += 1
+        for u in adj[x]:
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                hops.append(d)
+    return order, hops
+
+
 def bfs_distances(g: Graph, sources: Iterable[int]) -> DistanceTable:
     """Exact unweighted hop counts from the nearest source, by multi-source BFS."""
     srcs = sorted(set(sources))
@@ -313,20 +341,8 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> DistanceTable:
         if not (0 <= s < g.n):
             raise ValueError(f"invalid source id {s}")
     dist: list[int | None] = [None] * g.n
-    for s in srcs:
-        dist[s] = 0
-    frontier = list(srcs)
-    adj = g.adj
-    d = 0
-    while frontier:
-        d += 1
-        nxt: list[int] = []
-        for x in frontier:
-            for u in adj[x]:
-                if dist[u] is None:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
+    for v, d in zip(*_bfs(g, srcs)):
+        dist[v] = d
     return DistanceTable(tuple(srcs), dist)
 
 
@@ -337,26 +353,7 @@ def connected_components(g: Graph) -> list[list[int]]:
     smallest member.
     """
     seen = [False] * g.n
-    comps: list[list[int]] = []
-    adj = g.adj
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        frontier = [start]
-        while frontier:
-            nxt: list[int] = []
-            for x in frontier:
-                for u in adj[x]:
-                    if not seen[u]:
-                        seen[u] = True
-                        comp.append(u)
-                        nxt.append(u)
-            frontier = nxt
-        comp.sort()
-        comps.append(comp)
-    return comps
+    return [sorted(_bfs(g, [s], seen=seen)[0]) for s in range(g.n) if not seen[s]]
 
 
 # Builders for the standard families used throughout the test-suite and

@@ -224,12 +224,13 @@ def vc_to_schedule(inst: VcInstance, cover) -> Schedule:
 def schedule_to_vc(inst: VcInstance, s: Schedule):
     """Extract a vertex cover from a short strict burning schedule.
 
-    For each base edge (b, c), the edge's gadget together with the
-    (nk+1)-hop neighborhoods of b and c is scanned for burning sources;
-    each source contributes the nearer endpoint (ties to the smaller id).
-    The union is asserted to cover every edge within the budget.  In the
-    connected variant the pendant vertices are stripped before returning,
-    leaving a cover of the user's input graph.
+    Each endpoint of a base edge gets one BFS; a vertex it does not
+    reach counts as n' + 1 hops away.  A burning source counts for base
+    edge (b, c) if it lies in that edge's gadget or within nk+1 hops of
+    b or c, and then contributes the nearer endpoint (ties to the smaller
+    id).  The union is asserted to cover every edge within the budget.
+    In the connected variant the pendant vertices are stripped before
+    returning, leaving a cover of the user's input graph.
     """
     report = simulate(inst.gprime, s, strict=True)
     if not report.valid:
@@ -238,43 +239,24 @@ def schedule_to_vc(inst: VcInstance, s: Schedule):
     if len(s.rounds) > inst.round_bound or report.completion_round > inst.round_bound:
         raise ReductionError(f"schedule exceeds {inst.round_bound} rounds")
 
+    edges = base_edges(inst)  # each (b, c) with b < c
+    # each e, d and tail vertex to the base edge of its gadget
+    edge_of = {vid: tuple(sorted(role[1:3])) for vid, role in enumerate(inst.roles)
+               if role[0] in ("e", "d", "tail")}
+    far = inst.gprime.n + 1  # what an unreachable vertex counts as
+    dist = {v: [far if d is None else d for d in bfs_distances(inst.gprime, [v]).dist]
+            for v in {x for edge in edges for x in edge}}
+
     radius = inst.n * inst.k + 1
-    parts: dict[tuple[int, int], set[int]] = {}
-    for vid, role in enumerate(inst.roles):
-        if role[0] == "e":
-            key = (min(role[1], role[2]), max(role[1], role[2]))
-        elif role[0] in ("d", "tail"):
-            key = (role[1], role[2])
-        else:
-            continue
-        parts.setdefault(key, set()).add(vid)
-
     sources = [v for batch in s.rounds for v in batch]
-    dist_cache: dict[int, list[int | None]] = {}
-
-    def dist_from(v: int) -> list[int | None]:
-        if v not in dist_cache:
-            dist_cache[v] = bfs_distances(inst.gprime, [v]).dist
-        return dist_cache[v]
-
-    big = inst.gprime.n + 1
     cover: set[int] = set()
-    for b, c in base_edges(inst):
-        db, dc = dist_from(b), dist_from(c)
-        members = set(parts[(b, c)])
-        members.update(x for x in range(inst.gprime.n) if db[x] is not None and db[x] <= radius)
-        members.update(x for x in range(inst.gprime.n) if dc[x] is not None and dc[x] <= radius)
+    for b, c in edges:
+        db, dc = dist[b], dist[c]
         for src in sources:
-            if src not in members:
-                continue
-            a = db[src] if db[src] is not None else big
-            bb = dc[src] if dc[src] is not None else big
-            if a < bb or (a == bb and b < c):
-                cover.add(b)
-            else:
-                cover.add(c)
+            if edge_of.get(src) == (b, c) or min(db[src], dc[src]) <= radius:
+                cover.add(b if db[src] <= dc[src] else c)
 
-    for b, c in base_edges(inst):
+    for b, c in edges:
         if b not in cover and c not in cover:
             raise ReductionError(f"extracted set misses edge ({b},{c}); invalid instance/schedule pair")
     if len(cover) > inst.q:

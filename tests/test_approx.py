@@ -84,6 +84,28 @@ def test_lower_bound_matches_linear_scan():
             assert j == smallest
 
 
+def test_lower_bound_is_certified_by_the_failed_probe_below_it():
+    # b >= j needs no monotonicity: the probe at j - 1 failed, so its
+    # k(j-1) + 1 picks are pairwise more than 2(j-1) apart, and each source
+    # of a (j-1)-round schedule (radius <= j - 2) covers at most one of them
+    rng = random.Random(913)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(2, 160)
+        g = random_graph(rng, n, rng.uniform(0.5, 3.0) / n)
+        for k in (1, 2):
+            j = lower_bound(g, k)
+            if j == 1:
+                continue
+            picks = approx._greedy_scatter(g, j - 1, limit=k * (j - 1))
+            assert len(picks) == k * (j - 1) + 1, (n, k, j)
+            for i, u in enumerate(picks):
+                dist = bfs_distances(g, [u]).dist
+                assert all(dist[v] is None or dist[v] > 2 * (j - 1) for v in picks[i + 1:])
+            checked += 1
+    assert checked >= 100, checked
+
+
 @pytest.mark.parametrize("make, k, most", [
     (lambda: grid_graph(300, 300), 1, 5),
     (lambda: grid_graph(300, 300), 2, 4),

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from burnkit import (
     Cnf3,
     GraphFormatError,
+    ReductionError,
     Schedule,
+    ScheduleError,
     SchedulingInstance,
     bfs_distances,
     build_sat_instance,
@@ -22,6 +24,7 @@ from burnkit import (
     grid_graph,
     lower_bound,
     ordering_feasible,
+    pad_schedule,
     parse_graph,
     path_graph,
     schedule_sources,
@@ -35,6 +38,7 @@ from burnkit.approx import _greedy_scatter, _search_lower_bound
 from burnkit import graph as graph_module
 from burnkit.burning import _run_rounds
 from burnkit.graph import _BadEdge, _build
+from burnkit.reductions import base_edges
 
 from .strategies import (
     brute_force_min_cover,
@@ -554,6 +558,119 @@ def test_vc_connected_round_trip_random_graphs():
         recovered = set(schedule_to_vc(inst, sched))
         assert len(recovered) <= len(cover)
         assert all(u in recovered or v in recovered for u, v in g.edges())
+
+
+def reference_schedule_to_vc(inst, s):
+    """The member-set extraction schedule_to_vc replaced: per base edge, the
+    gadget and both endpoints' (nk+1)-hop balls gathered into one set, and
+    each source tested for membership in it."""
+    report = simulate(inst.gprime, s, strict=True)
+    if not report.valid:
+        why = report.violations[0].reason if report.violations else "incomplete burn"
+        raise ReductionError(f"schedule is not strict-valid: {why}")
+    if len(s.rounds) > inst.round_bound or report.completion_round > inst.round_bound:
+        raise ReductionError(f"schedule exceeds {inst.round_bound} rounds")
+    radius = inst.n * inst.k + 1
+    parts = {}
+    for vid, role in enumerate(inst.roles):
+        if role[0] == "e":
+            key = (min(role[1], role[2]), max(role[1], role[2]))
+        elif role[0] in ("d", "tail"):
+            key = (role[1], role[2])
+        else:
+            continue
+        parts.setdefault(key, set()).add(vid)
+    sources = [v for batch in s.rounds for v in batch]
+    big = inst.gprime.n + 1
+    cover = set()
+    for b, c in base_edges(inst):
+        db = bfs_distances(inst.gprime, [b]).dist
+        dc = bfs_distances(inst.gprime, [c]).dist
+        members = set(parts[(b, c)])
+        members.update(x for x in range(inst.gprime.n) if db[x] is not None and db[x] <= radius)
+        members.update(x for x in range(inst.gprime.n) if dc[x] is not None and dc[x] <= radius)
+        for src in sources:
+            if src not in members:
+                continue
+            a = db[src] if db[src] is not None else big
+            bb = dc[src] if dc[src] is not None else big
+            if a < bb or (a == bb and b < c):
+                cover.add(b)
+            else:
+                cover.add(c)
+    for b, c in base_edges(inst):
+        if b not in cover and c not in cover:
+            raise ReductionError(f"extracted set misses edge ({b},{c}); invalid instance/schedule pair")
+    if len(cover) > inst.q:
+        raise ReductionError(f"extracted set has {len(cover)} vertices, budget is {inst.q}")
+    if inst.connected:
+        cover = {x for x in cover if x < inst.original_n}
+        if len(cover) > inst.original_q:
+            raise ReductionError(
+                f"stripped cover has {len(cover)} vertices, budget is {inst.original_q}"
+            )
+    return sorted(cover)
+
+
+def extraction_outcome(extract, inst, sched):
+    try:
+        return extract(inst, sched)
+    except ReductionError as e:
+        return str(e)
+
+
+def vc_round_trip_cases(spare=0):
+    """(instance, schedule) pairs drawn as the plain and connected VC round
+    trips above draw them, from the same seeds but more graphs.  The budget
+    is ``spare`` above the minimum cover, which the schedule burns."""
+    for k, seed, tries, connected in ((1, 1007, 40, False), (2, 2007, 40, False), (1, 404, 20, True)):
+        rng = random.Random(seed)
+        for _ in range(tries):
+            g = random_connected_graph(rng, rng.randint(2, 5 if connected else 6))
+            cover = brute_force_min_cover(g)
+            if g.m and len(cover) + spare <= g.n:
+                inst = build_vc_instance(g, k, len(cover) + spare, connected=connected)
+                yield inst, vc_to_schedule(inst, cover)
+
+
+def same_extraction(inst, sched):
+    """Whether both extractions agree on sched, padded; None if it cannot be padded."""
+    try:
+        sched = pad_schedule(inst.gprime, sched)
+    except ScheduleError:
+        return None  # a source burns before its round
+    got = extraction_outcome(schedule_to_vc, inst, sched)
+    assert got == extraction_outcome(reference_schedule_to_vc, inst, sched)
+    return isinstance(got, list)
+
+
+def test_schedule_to_vc_matches_the_member_set_extraction():
+    # the round trips, then each with one source moved a hop into an e or d
+    # vertex of its gadget: sources the round trips never place there
+    moved = 0
+    for inst, sched in vc_round_trip_cases():
+        assert same_extraction(inst, sched)
+        for i, batch in enumerate(sched.rounds):
+            for p, v in enumerate(batch):
+                for u in inst.gprime.adj[v]:
+                    if inst.roles[u][0] in ("e", "d"):
+                        rounds = [list(b) for b in sched.rounds]
+                        rounds[i][p] = u
+                        moved += bool(same_extraction(inst, Schedule(sched.k, rounds)))
+    assert moved >= 250, moved
+
+
+def test_schedule_to_vc_matches_it_on_a_source_anywhere_in_a_gadget():
+    # a budget one above the minimum cover leaves a round for one more
+    # source: put it on each e, d and tail vertex in turn.  A tail vertex
+    # lies more than nk + 1 hops from both endpoints, so only its gadget
+    # makes it count
+    accepted = Counter()
+    for inst, sched in islice(vc_round_trip_cases(spare=1), 0, None, 4):
+        for x, role in enumerate(inst.roles):
+            if role[0] in ("e", "d", "tail"):
+                accepted[role[0]] += bool(same_extraction(inst, Schedule(sched.k, [[x]] + sched.rounds)))
+    assert min(accepted.values()) >= 20, accepted
 
 
 def reference_parse_graph(text):

@@ -304,7 +304,7 @@ def test_a_nan_or_negative_budget_is_rejected_before_any_work(monkeypatch, budge
         raise AssertionError("work started")
 
     monkeypatch.setattr(exact, "_search_lower_bound", no_work)
-    monkeypatch.setattr(exact, "_bfs_order", no_work)
+    monkeypatch.setattr(exact, "_bfs", no_work)
     with pytest.raises(ValueError, match="time budget must be a non-negative number"):
         exact_burning_number(path_graph(9), 1, time_budget=budget)
     with pytest.raises(ValueError, match="time budget must be a non-negative number"):
