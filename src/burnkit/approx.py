@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from math import log
 
-from .burning import Schedule, _run_rounds, check_labels
+from .burning import Schedule, _pad_certified
 from .graph import Graph
 
 
@@ -230,18 +230,12 @@ def approx_schedule(g: Graph, k: int) -> ApproxResult:
 
     Ignites the members of M(j) in pick order, k per round, then pads to
     strict semantics.  Every vertex is within 2j hops of a member ignited
-    by round j, so completion <= 3j.  The padding pass's own burn rounds
-    certify the result: ``check_labels``, which shares no code with the
-    round loop, verifies them against the graph and returns the
-    completion, and RuntimeError is raised should it exceed 3j.
+    by round j, so completion <= 3j: RuntimeError is raised should the
+    certified pad pass (``burning._pad_certified``) reject it or end later.
     """
     j, order = _search_lower_bound(g, k)
-    batches = [order[i:i + k] for i in range(0, len(order), k)]
-    # members are pairwise > 2j apart while batches span <= j rounds, so no
-    # ignition can be preempted by propagation; the pad policy only tops up
-    burn, _, _, padded = _run_rounds(g, k, batches, "pad")
-    sched = Schedule(k, padded)
-    completion = check_labels(g, sched, burn)
+    # members are > 2j apart and batches span <= j rounds: padding only tops up
+    sched, completion = _pad_certified(g, k, [order[i:i + k] for i in range(0, len(order), k)])
     if completion > 3 * j:
         raise RuntimeError(f"completion {completion} exceeds 3*{j}; round semantics bug")
     return ApproxResult(j, sched, completion)

@@ -13,15 +13,12 @@ alone finishes the job that round.  A consequence of the round order:
 sources ignited at rounds r < r' must sit at hop distance >= r' - r + 1,
 otherwise the later one is already burning when ignited.
 
-A lenient mode that tolerates undersized batches exists for exploratory
-use (fixed-source scheduling produces such round patterns); certificates
-in this package are always checked strictly.  Checking (``simulate``),
-padding (``pad_schedule``) and judging fixed-source orderings
-(``exact.ordering_feasible``, the scheduler's certificate) run one round
-loop.  Two checks share no code with it: ``check_labels`` certifies a
-schedule strictly from its claimed burn rounds (``approx_schedule`` and
-``exact_burning_number`` certify with it), and ``completion_closed_form``
-recomputes the completion round.
+One round loop, ``_run_rounds``, has two modes.  "check" runs a schedule
+as listed and records every violation, for ``simulate`` and
+``exact.ordering_feasible``; "pad" tops each batch up to strict size.
+Every schedule the package builds comes from ``_pad_certified``: one pad
+pass whose own burn rounds ``check_labels`` certifies.  That checker and
+``completion_closed_form`` share no code with the round loop.
 """
 
 from __future__ import annotations
@@ -94,20 +91,20 @@ def ignition_list(s: Schedule) -> list[tuple[int, int]]:
     return [(v, r) for r, batch in enumerate(s.rounds, start=1) for v in batch]
 
 
-def _run_rounds(g: Graph, k: int, rounds: list[list[int]], policy: str
+def _run_rounds(g: Graph, k: int, rounds: list[list[int]], mode: str
                 ) -> tuple[list[int], int, list[Violation], list[list[int]]]:
-    """The one propagate-then-ignite loop; ``policy`` picks each round's batch.
+    """The one propagate-then-ignite loop, in ``"check"`` or ``"pad"`` mode.
 
-    ``"strict"`` and ``"lenient"`` ignite the listed batch, record the
-    violations ``simulate`` documents, run through every listed round and
-    stop at unburnable residue.  ``"pad"`` drops already-burnt members,
-    tops the batch up to ``min(k, unburnt)`` with the smallest unburnt ids
-    not listed for a later round (later-listed ones only when nothing else
-    is left) and stops once everything burns.  Returns the burn rounds
-    (0 = never), the completion round, the violations and the batches.
+    ``"check"`` ignites the listed batch, records every violation
+    ``simulate`` documents, runs through every listed round and stops at
+    unburnable residue.  ``"pad"`` drops already-burnt members, tops the
+    batch up to ``min(k, unburnt)`` with the smallest unburnt ids not
+    listed later (those only when nothing else is left) and stops once
+    everything burns.  Returns the burn rounds (0 = never), the completion
+    round, the violations and the batches.
     """
     n, adj = g.n, g.adj
-    pad = policy == "pad"
+    pad = mode == "pad"
     listed = 0 if pad else len(rounds)
     if pad:
         later = [0] * n  # the round each vertex is listed at
@@ -140,7 +137,7 @@ def _run_rounds(g: Graph, k: int, rounds: list[list[int]], policy: str
         required = min(k, unburnt)
         if not pad:
             violations.extend(Violation(t, v, "already burnt at ignition") for v in batch if burn[v])
-            if policy == "strict" and len(batch) != required:
+            if len(batch) != required:
                 violations.append(Violation(t, -1, f"batch size {len(batch)}, expected {required}"))
         for v in ignited:  # before the top-up, so its scans pass over these
             burn[v] = t
@@ -175,13 +172,14 @@ def simulate(g: Graph, s: Schedule, strict: bool = True) -> BurnReport:
     """Run the k-burning process for a schedule and judge its validity.
 
     Violations recorded: a batch vertex already burnt at ignition time; in
-    strict mode, any round whose batch size differs from
-    ``min(k, unburnt-after-propagation)``; and unburnable residue (vertices
-    no listed source can ever reach).  Simulation always runs to the end:
-    burnt state is reported even for invalid schedules.
+    strict mode, any round whose batch size differs from ``min(k,
+    unburnt-after-propagation)`` (vertex -1); and unburnable residue
+    (vertices no listed source can ever reach).  Simulation always runs to
+    the end: burnt state is reported even for invalid schedules.
     """
     validate_schedule(g, s)
-    burn, completion, violations, _ = _run_rounds(g, s.k, s.rounds, "strict" if strict else "lenient")
+    burn, completion, violations, _ = _run_rounds(g, s.k, s.rounds, "check")
+    violations = [v for v in violations if strict or v.vertex >= 0]
     return BurnReport(
         burn_round=[r if r else None for r in burn],
         completion_round=completion,
@@ -294,18 +292,25 @@ def completion_closed_form(g: Graph, ignitions: list[tuple[int, int]]) -> int:
     return max(arrival)  # type: ignore[type-var]
 
 
+def _pad_certified(g: Graph, k: int, batches: list[list[int]]) -> tuple[Schedule, int]:
+    """One pad pass whose own burn rounds ``check_labels`` certifies: (schedule, completion)."""
+    burn, _, _, padded = _run_rounds(g, k, batches, "pad")
+    sched = Schedule(k, padded)
+    return sched, check_labels(g, sched, burn)
+
+
 def pad_schedule(g: Graph, s: Schedule) -> Schedule:
     """Extend a schedule to strict batch sizes without delaying completion.
 
     The input must simulate without "already burnt at ignition" violations
     (undersized batches and missing trailing rounds are what padding is
     for).  Free choices go to the smallest unburnt vertex id, so the result
-    is deterministic; the padded schedule is strict-valid and completes no
-    later than the input.
+    is deterministic; the padded schedule, certified by ``_pad_certified``,
+    is strict-valid and completes no later than the input.
     """
     if any(v.reason == "already burnt at ignition" for v in simulate(g, s, strict=False).violations):
         raise ScheduleError("input schedule has ignition violations; cannot pad")
-    return Schedule(s.k, _run_rounds(g, s.k, s.rounds, "pad")[3])
+    return _pad_certified(g, s.k, s.rounds)[0]
 
 
 def parse_schedule(text: str) -> Schedule:

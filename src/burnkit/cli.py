@@ -216,32 +216,36 @@ def _cmd_gen_sat(args) -> None:
     print("meta_file", meta_path)
 
 
+def _mapped(fn, *args):
+    """``fn(*args)``, a failed mapping (ReductionError) made an invalid certificate."""
+    try:
+        return fn(*args)
+    except ReductionError as e:
+        raise RuntimeError(str(e)) from e
+
+
 def _cmd_map_vc(args) -> None:
     g = _read("graph", args.graph, parse_graph)
     inst = load_vc_instance(g, _read("metadata", args.meta, json.loads))
     if (args.cover is None) == (args.schedule is None):
         raise ValueError("map-vc needs exactly one of --cover or --schedule")
+    # read and map before the first stdout line, so a failure prints nothing
     if args.cover is not None:
         cover = _parse_ints(args.cover, "cover")
+        sched = _mapped(vc_to_schedule, inst, cover)
+        completion = simulate(inst.gprime, sched).completion_round
+    else:
+        sched = _read("schedule", args.schedule, parse_schedule)
+        cover = _mapped(schedule_to_vc, inst, sched)
     print("command", "map-vc")
     print("graph", args.graph)
     print("meta", args.meta)
     if args.cover is not None:
-        try:
-            sched = vc_to_schedule(inst, cover)
-        except ReductionError as e:
-            raise RuntimeError(str(e)) from e
         print("direction", "cover-to-schedule")
         print("cover", *sorted(set(cover)))
-        report = simulate(inst.gprime, sched)
-        print("completion_round", report.completion_round)
+        print("completion_round", completion)
         _report_schedule(sched, args.schedule_out)
     else:
-        sched = _read("schedule", args.schedule, parse_schedule)
-        try:
-            cover = schedule_to_vc(inst, sched)
-        except ReductionError as e:
-            raise RuntimeError(str(e)) from e
         print("direction", "schedule-to-cover")
         print("cover_size", len(cover))
         print("cover", *cover)
@@ -252,29 +256,22 @@ def _cmd_map_sat(args) -> None:
     si = load_sat_instance(g, _read("metadata", args.meta, json.loads))
     if (args.assignment is None) == (args.ordering is None):
         raise ValueError("map-sat needs exactly one of --assignment or --ordering")
+    # parse and map before the first stdout line, as map-vc does
     if args.assignment is not None:
         lits = _parse_ints(args.assignment, "assignment")
         if sorted(map(abs, lits)) != list(range(1, si.cnf.n_vars + 1)):
             raise ValueError("assignment must mention each variable exactly once")
-        assignment = {abs(l): l > 0 for l in lits}
+        ordering = _mapped(assignment_to_schedule, si, {abs(l): l > 0 for l in lits})
     else:
-        ordering = _parse_ordering(args.ordering)
+        assignment = _mapped(schedule_to_assignment, si, _parse_ordering(args.ordering))
     print("command", "map-sat")
     print("graph", args.graph)
     print("meta", args.meta)
     if args.assignment is not None:
-        try:
-            ordering = assignment_to_schedule(si, assignment)
-        except ReductionError as e:
-            raise RuntimeError(str(e)) from e
         print("direction", "assignment-to-ordering")
         for v, r in sorted(ordering.items()):
             print("ignite", v, r)
     else:
-        try:
-            assignment = schedule_to_assignment(si, ordering)
-        except ReductionError as e:
-            raise RuntimeError(str(e)) from e
         print("direction", "ordering-to-assignment")
         print("assignment", *((j if val else -j) for j, val in sorted(assignment.items())))
 

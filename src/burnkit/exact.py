@@ -16,7 +16,7 @@ from functools import cache
 from itertools import combinations
 
 from .approx import UndeterminedError, _search_lower_bound
-from .burning import Schedule, _run_rounds, check_labels
+from .burning import Schedule, _pad_certified, _run_rounds
 from .graph import Graph, _bfs
 
 
@@ -92,8 +92,8 @@ def exact_burning_number(
     radius at a time, each vertex's as the union of its neighbours' balls
     one radius smaller, and only up to radius L - 1 of the depth tried.
     The approximation burns everything within 3j rounds, so a depth past
-    3j raises RuntimeError, as does a witness that ``check_labels`` (on
-    the padding pass's burn rounds) rejects or finds not to end at L.
+    3j raises RuntimeError, as does a witness that ``_pad_certified`` (the
+    certified pad pass) rejects or finds not to end at L.
 
     Raises UndeterminedError when ``max_rounds`` or ``time_budget`` is
     exhausted first, the lower-bound probes and the precomputation
@@ -174,13 +174,11 @@ def exact_burning_number(
         if batches is not None:
             break
         depth += 1
-    burn, _, _, padded = _run_rounds(g, k, batches, "pad")
-    witness = Schedule(k, padded)
     try:
-        certified = check_labels(g, witness, burn) == depth
+        witness, completion = _pad_certified(g, k, batches)
     except RuntimeError:
-        certified = False
-    if not certified:
+        completion = None
+    if completion != depth:
         raise RuntimeError(f"search returned a witness the round engine rejects at depth {depth}")
     return depth, witness
 
@@ -249,8 +247,9 @@ def ordering_feasible(
 
     Every source must get a round in 1..rounds with at most k per round.
     That makes it a well-formed schedule, run as it is through the
-    package's one round loop, leniently: every source must still be
-    unburnt when ignited, and every vertex must burn by the deadline.
+    package's one round loop in its check mode, which reads only ignition
+    violations and burn rounds here: every source must still be unburnt
+    when ignited, and every vertex must burn by the deadline.
     The reason names the first source found burnt at its ignition
     (earliest round, then the ordering's order within a round), else the
     smallest vertex that burns late or never.
@@ -264,7 +263,7 @@ def ordering_feasible(
         batches[r - 1].append(s)
         if len(batches[r - 1]) > inst.k:
             return False, f"round {r} ignites more than k={inst.k} sources"
-    burn, _, violations, _ = _run_rounds(inst.graph, inst.k, batches, "lenient")
+    burn, _, violations, _ = _run_rounds(inst.graph, inst.k, batches, "check")
     for v in violations:
         if v.reason == "already burnt at ignition":
             return False, f"source {v.vertex} is already burnt at round {v.round}"

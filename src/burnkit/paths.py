@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .burning import Schedule, pad_schedule
+from .burning import Schedule, _pad_certified
 from .graph import path_graph
 
 
@@ -52,18 +52,21 @@ def optimal_path_schedule(n: int, k: int) -> Schedule:
 
     The path is split into k near-equal contiguous subpaths (each at most
     ceil(n/k) vertices, so each burns within b rounds); their segment
-    sources run in parallel, one ignition per subpath per round, and the
-    result is padded to strict batch sizes.
+    sources run in parallel, one ignition per subpath per round.  The
+    result is padded and certified, and RuntimeError is raised off round b.
     """
     b = path_burning_number(n, k)
     size, rem = divmod(n, k)
     batches: list[list[int]] = [[] for _ in range(b)]
     start = 0
-    for i in range(k):
+    for i in range(min(k, n)):  # subpaths past the n-th are empty
         length = size + (1 if i < rem else 0)
         if length == 0:
             continue
         for v, r in segment_sources(length, b, base=start):
             batches[r - 1].append(v)
         start += length
-    return pad_schedule(path_graph(n), Schedule(k, batches))
+    sched, completion = _pad_certified(path_graph(n), k, batches)
+    if completion != b:
+        raise RuntimeError(f"path schedule completes at round {completion}, not {b}")
+    return sched

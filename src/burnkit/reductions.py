@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 
-from .burning import Schedule, pad_schedule, simulate
+from .burning import Schedule, _pad_certified, simulate
 from .exact import SchedulingInstance, ordering_feasible
 from .graph import Graph, bfs_distances, graph_from_edges
 from .paths import segment_sources
@@ -173,8 +173,9 @@ def vc_to_schedule(inst: VcInstance, cover) -> Schedule:
     Cover vertices are ignited first (alongside k-1 isolated vertices per
     round when k > 1), the remaining isolated vertices follow k per round;
     the connected variant ignites w before the cover and then burns the
-    backbone suffix like a standalone path.  The result is padded, checked
-    strict-valid, and never exceeds q + 2nk + 3 rounds.
+    backbone suffix like a standalone path.  The result is padded and
+    certified, completes by round q + 2nk + 3, and an instance short of the
+    isolated or backbone vertices its fields ask for raises ReductionError.
     """
     cov = sorted(set(cover))
     for c in cov:
@@ -187,36 +188,31 @@ def vc_to_schedule(inst: VcInstance, cover) -> Schedule:
         if u not in covered and v not in covered:
             raise ReductionError(f"not a vertex cover: edge ({u},{v}) untouched")
 
-    iso_ids = _role_ids(inst, "iso")
+    k = inst.k
     if not inst.connected:
-        batches: list[list[int]] = []
-        it = iter(iso_ids)
-        for c in cov:
-            batch = [c]
-            for _ in range(inst.k - 1):
-                batch.append(next(it))
-            batches.append(batch)
-        rest = list(it)
-        for i in range(0, len(rest), inst.k):
-            batches.append(rest[i:i + inst.k])
+        iso_ids = _role_ids(inst, "iso")
+        extra = (k - 1) * len(cov)  # isolated vertices ignited beside the cover
+        if len(iso_ids) < extra:
+            raise ReductionError(f"{len(iso_ids)} isolated vertices, a cover of "
+                                 f"{len(cov)} with k={k} needs {extra}")
+        batches = [[c, *iso_ids[i * (k - 1):(i + 1) * (k - 1)]] for i, c in enumerate(cov)]
+        batches += [iso_ids[i:i + k] for i in range(extra, len(iso_ids), k)]
     else:
-        w = inst.n - 2
-        total_rounds = inst.round_bound
-        batches = [[] for _ in range(total_rounds)]
-        batches[0] = [w]
+        batches = [[] for _ in range(inst.round_bound)]
+        batches[0] = [inst.n - 2]  # w
         for i, c in enumerate(cov, start=1):
             batches[i] = [c]
-        suffix_start = next(
-            i for i, role in enumerate(inst.roles)
-            if role[0] == "backbone" and role[1] == inst.q + 2 * inst.n + 3
-        )
-        suffix = list(range(suffix_start, inst.gprime.n))
-        for vtx, r in segment_sources(len(suffix), 2 * inst.n + 3, base=suffix_start):
+        anchor = inst.q + 2 * inst.n + 3
+        try:
+            suffix_start = inst.roles.index(("backbone", anchor))
+        except ValueError:
+            raise ReductionError(f"instance has no backbone vertex {anchor}") from None
+        suffix = inst.gprime.n - suffix_start
+        for vtx, r in segment_sources(suffix, 2 * inst.n + 3, base=suffix_start):
             batches[inst.q + r - 1] = [vtx]
 
-    sched = pad_schedule(inst.gprime, Schedule(inst.k, batches))
-    report = simulate(inst.gprime, sched, strict=True)
-    if not report.valid or len(sched.rounds) > inst.round_bound:
+    sched, completion = _pad_certified(inst.gprime, k, batches)
+    if completion > inst.round_bound:
         raise ReductionError("constructed schedule failed validation")  # pragma: no cover
     return sched
 
@@ -486,11 +482,13 @@ def load_vc_instance(gprime: Graph, meta) -> VcInstance:
     if not isinstance(meta, dict) or meta.get("kind") != "vc-burning-instance":
         raise ReductionError("metadata is not a vc-burning instance")
     try:
-        n = _field(meta, "n", 1)
+        n = _field(meta, "n", 1, gprime.n)  # the gadget holds a copy of each base vertex
         k, q = _field(meta, "k", 1), _field(meta, "q", 1, n)
         connected = meta["connected"]
         if type(connected) is not bool:
             raise ReductionError(f"bad connected {connected!r}")
+        if connected and k != 1:
+            raise ReductionError("connected variant requires k=1")
         roles = [_role(role, n) for role in _list(meta, "roles")]
         if len(roles) != gprime.n:
             raise ReductionError(f"{len(roles)} roles for {gprime.n} vertices")
@@ -552,12 +550,10 @@ def load_sat_instance(graph: Graph, meta) -> SatInstance:
         cnf = Cnf3(n_vars, tuple(map(tuple, clauses)))  # checks arity and literal range
         n = graph.n
         inst = SchedulingInstance(graph, tuple(_vertices(meta, "sources", n)), _field(meta, "k", 1))
-        return SatInstance(
-            inst,
-            _literal_map(meta, "literal_vertex", n_vars, n),
-            tuple(_vertices(meta, "clause_vertex", n)),
-            cnf,
-            _literal_map(meta, "top_end", n_vars, n),
-        )
+        literal_vertex = _literal_map(meta, "literal_vertex", n_vars, n)
+        if sorted(literal_vertex.values()) != list(inst.sources):
+            raise ReductionError("literal_vertex must map the literals onto the sources")
+        return SatInstance(inst, literal_vertex, tuple(_vertices(meta, "clause_vertex", n)), cnf,
+                           _literal_map(meta, "top_end", n_vars, n))
     except KeyError as e:
         raise ReductionError(f"metadata has no {e} field") from None

@@ -145,7 +145,7 @@ def test_approx_runs_the_round_loop_once_and_never_simulates(monkeypatch, k):
     import burnkit.burning
 
     calls = {"rounds": 0, "simulate": 0}
-    run_rounds, simulate_ = approx._run_rounds, burnkit.burning.simulate
+    run_rounds, simulate_ = burnkit.burning._run_rounds, burnkit.burning.simulate
 
     def counted_rounds(*args):
         calls["rounds"] += 1
@@ -155,7 +155,7 @@ def test_approx_runs_the_round_loop_once_and_never_simulates(monkeypatch, k):
         calls["simulate"] += 1
         return simulate_(*args, **kwargs)
 
-    monkeypatch.setattr(approx, "_run_rounds", counted_rounds)
+    monkeypatch.setattr(burnkit.burning, "_run_rounds", counted_rounds)
     monkeypatch.setattr(burnkit.burning, "simulate", counted_simulate)
     assert not hasattr(approx, "simulate")  # so no call can bypass the counter
     g = grid_graph(7, 9)

@@ -5,18 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import burnkit.burning
 from burnkit import (
     Schedule,
     ScheduleError,
+    approx_schedule,
+    build_vc_instance,
     check_labels,
     completion_closed_form,
+    exact_burning_number,
     graph_from_edges,
     ignition_list,
+    optimal_path_schedule,
     pad_schedule,
     parse_schedule,
     path_graph,
     serialize_schedule,
     simulate,
+    vc_to_schedule,
 )
 
 from .strategies import (
@@ -177,6 +183,33 @@ def test_check_labels_rejects_malformed_labels():
             check_labels(g, s, labels)
     with pytest.raises(RuntimeError, match="vertex 1: never burns"):
         check_labels(graph_from_edges(2, []), Schedule(1, [[0]]), [1, 2])
+
+
+@settings(max_examples=200)
+@given(graph_and_schedule())
+def test_lenient_simulation_is_the_strict_run_less_batch_size_violations(gs):
+    g, s = gs
+    strict, lenient = simulate(g, s), simulate(g, s, strict=False)
+    assert lenient.burn_round == strict.burn_round
+    assert lenient.completion_round == strict.completion_round
+    assert lenient.violations == [v for v in strict.violations if v.vertex >= 0]
+    assert lenient.valid == (not lenient.violations)
+
+
+def test_every_builder_certifies_through_check_labels(monkeypatch):
+    inst = build_vc_instance(path_graph(3), 1, 1)
+
+    def rejected(g, s, labels):
+        raise RuntimeError("rejected")
+
+    monkeypatch.setattr(burnkit.burning, "check_labels", rejected)
+    for build in (lambda: approx_schedule(path_graph(9), 1),
+                  lambda: exact_burning_number(path_graph(4), 1),
+                  lambda: optimal_path_schedule(9, 2),
+                  lambda: vc_to_schedule(inst, [1]),
+                  lambda: pad_schedule(path_graph(4), Schedule(2, [[1]]))):
+        with pytest.raises(RuntimeError):
+            build()
 
 
 @settings(max_examples=300)

@@ -288,6 +288,68 @@ def test_vc_generation_and_mapping(capsys, tmp_path, p4):
     assert err.splitlines()[0].startswith("error invalid")
 
 
+@pytest.fixture
+def p3_gadget(capsys, tmp_path):
+    """gen-vc on the 3-vertex path (k 1, q 1): (graph path, meta path, meta)."""
+    p3 = tmp_path / "p3.txt"
+    p3.write_text("3 2\n0 1\n1 2\n")
+    assert run(capsys, "gen-vc", "--graph", p3, "--q", 1, "--out", tmp_path / "vc")[0] == 0
+    meta_file = tmp_path / "vc.meta.json"
+    return tmp_path / "vc.graph.txt", meta_file, json.loads(meta_file.read_text())
+
+
+@pytest.mark.parametrize("text, first_line", [
+    ("1 1\n0 x\n", "error parse schedule {}: line 2: batches must be space-separated integers"),
+    ("1 1\n99\n", "error parse round 1: invalid vertex id 99"),
+])
+def test_map_vc_reads_and_maps_before_it_prints(capsys, tmp_path, p3_gadget, text, first_line):
+    graph, meta, _ = p3_gadget
+    sched = tmp_path / "bad.txt"
+    sched.write_text(text)
+    code, out, err = run(capsys, "map-vc", "--graph", graph, "--meta", meta, "--schedule", sched)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == first_line.format(sched)
+
+
+@pytest.mark.parametrize("field, value, cover, first_line", [
+    ("k", 100, "1", "error invalid 9 isolated vertices, a cover of 1 with k=100 needs 99"),
+    ("connected", True, "", "error invalid instance has no backbone vertex 10"),
+])
+def test_map_vc_on_a_sidecar_short_of_the_vertices_it_asks_for(
+    capsys, p3_gadget, field, value, cover, first_line
+):
+    graph, meta_file, meta = p3_gadget
+    meta_file.write_text(json.dumps({**meta, field: value}))
+    code, out, err = run(capsys, "map-vc", "--graph", graph, "--meta", meta_file,
+                         f"--cover={cover}")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("fields, first_line", [
+    ({"n": 35}, "error parse bad n 35"),
+    ({"connected": True, "k": 2}, "error parse connected variant requires k=1"),
+])
+def test_map_vc_rejects_a_sidecar_whose_rounds_outgrow_its_gadget(
+    capsys, p3_gadget, fields, first_line
+):
+    # either would size the connected variant's schedule by the sidecar alone
+    graph, meta_file, meta = p3_gadget
+    meta_file.write_text(json.dumps({**meta, **fields}))
+    code, out, err = run(capsys, "map-vc", "--graph", graph, "--meta", meta_file, "--cover=1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == first_line
+
+
+def test_map_sat_rejects_literal_vertices_that_are_not_the_sources(capsys, tmp_path, p4):
+    meta_file = tmp_path / "meta.json"
+    meta_file.write_text(json.dumps({**SAT_META_P4, "sources": [0, 1, 2]}))
+    code, out, err = run(capsys, "map-sat", "--graph", p4, "--meta", meta_file,
+                         "--ordering", "1@1,0@2,2@3")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error parse literal_vertex must map the literals onto the sources"
+
+
 def test_sat_generation_and_mapping(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 1\n1 2 -1 0\n")

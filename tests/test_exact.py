@@ -277,14 +277,14 @@ def test_exact_raises_on_a_witness_the_round_engine_rejects(monkeypatch):
     def rejected(g, s, labels):
         raise RuntimeError("vertex 0: labelled 1, but propagation reaches it at round 3")
 
-    monkeypatch.setattr(exact, "check_labels", rejected)
+    monkeypatch.setattr("burnkit.burning.check_labels", rejected)
     with pytest.raises(RuntimeError, match="round engine rejects") as exc:
         exact_burning_number(path_graph(4), 1)
     assert not isinstance(exc.value, UndeterminedError)
 
 
 def test_exact_raises_on_a_witness_completing_off_its_depth(monkeypatch):
-    monkeypatch.setattr(exact, "check_labels", lambda g, s, labels: 3)
+    monkeypatch.setattr("burnkit.burning.check_labels", lambda g, s, labels: 3)
     with pytest.raises(RuntimeError, match="round engine rejects at depth 2"):
         exact_burning_number(path_graph(4), 1)
 

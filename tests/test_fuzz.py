@@ -1,0 +1,207 @@
+"""Seeded fuzz over every subcommand: the CLI's exit contract holds on any input.
+
+Each random trial mutates at most one of the valid input files
+(truncation, a byte flip, an integer token swapped for an out-of-range
+one, or a JSON value swapped for one of another type or range) and draws
+flag values that argparse accepts, nan and inf included.  A sweep then
+swaps each top-level sidecar field in turn.  Graphs stay at a few dozen
+vertices and every value stays small, so every trial is cheap and nothing
+allocates near ``MAX_VERTICES``.
+"""
+
+import json
+import random
+import re
+
+import pytest
+
+from burnkit.cli import main
+
+SEED = 20260
+TRIALS = 400
+INTS = ["-1", "0", "1", "2", "3", "5"]
+BUDGETS = ["nan", "inf", "-inf", "-1", "0", "0.01", "2"]
+# JSON replacements of another type (or range), kept small
+SWAPS = [None, True, False, "1", 1.5, [], {}, [1], -1, 0, 2, 99]
+
+
+@pytest.fixture
+def inputs(tmp_path, capsys):
+    """Valid input files for every subcommand: name -> path."""
+    files = {"graph": "7 7\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n0 6\n",
+             "p3": "3 2\n0 1\n1 2\n",
+             "schedule": "1 3\n0\n4\n2\n",
+             "cnf": "p cnf 2 2\n1 2 -1 0\n-2 1 2 0\n"}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    for argv in (["gen-vc", "--graph", paths["p3"], "--q", "1", "--out", tmp_path / "vc"],
+                 ["gen-vc", "--graph", paths["p3"], "--q", "1", "--connected",
+                  "--out", tmp_path / "cvc"],
+                 ["gen-sat", "--cnf", paths["cnf"], "--out", tmp_path / "sat"],
+                 ["map-vc", "--graph", tmp_path / "vc.graph.txt",
+                  "--meta", tmp_path / "vc.meta.json", "--cover", "1",
+                  "--schedule-out", tmp_path / "vc.s.txt"]):
+        assert main([str(a) for a in argv]) == 0
+    capsys.readouterr()
+    for prefix in ("vc", "cvc", "sat"):
+        paths[f"{prefix}.graph"] = tmp_path / f"{prefix}.graph.txt"
+        paths[f"{prefix}.meta"] = tmp_path / f"{prefix}.meta.json"
+    paths["vc.schedule"] = tmp_path / "vc.s.txt"
+    return paths
+
+
+def _json_slots(obj, path=()):
+    """Every (path) to a value inside a JSON document, containers included."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _json_slots(value, (*path, key))
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    kind = rng.random()
+    if kind < 0.15:
+        return text[:rng.randrange(len(text) + 1)]
+    if kind < 0.3:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice([chr(rng.randrange(32, 127)), str(rng.randrange(10))]) \
+            + text[i + 1:]
+    if not text.startswith("{"):
+        # one integer token, never the graph header's vertex count, out of range
+        spans = [m.span() for m in re.finditer(r"-?\d+", text)][1:]
+        if not spans:
+            return text
+        a, b = rng.choice(spans)
+        return text[:a] + rng.choice(["-1", "0", "7", "99"]) + text[b:]
+    doc = json.loads(text)
+    # mostly a top-level field, else any value (most of those are role fields)
+    path = rng.choice([(key,) for key in doc] if rng.random() < 0.8 else list(_json_slots(doc))[1:])
+    slot = doc
+    for key in path[:-1]:
+        slot = slot[key]
+    old = slot[path[-1]]
+    if type(old) in (bool, int) and rng.random() < 0.5:  # same type, other value
+        slot[path[-1]] = (not old) if type(old) is bool else rng.choice([-1, 0, 1, 2, 3, 7, 99])
+    else:
+        slot[path[-1]] = rng.choice(SWAPS)
+    return json.dumps(doc)
+
+
+def _ids(rng: random.Random) -> str:
+    """An id list, perhaps with a junk token."""
+    tokens = [rng.choice("-1 0 1 2 3 6 9 x".split()) for _ in range(rng.randrange(4))]
+    return rng.choice([",", " "]).join(tokens)
+
+
+# the gadget subcommands hold the most input checks, so they are drawn more often
+COMMANDS = ["simulate", "lower-bound", "approx", "exact", "schedule", "gen-vc", "gen-sat",
+            "map-vc", "map-vc", "map-vc", "map-sat", "map-sat", "path-number", "path-schedule"]
+
+
+def _argv(rng: random.Random, paths: dict, scratch) -> list[str]:
+    """One subcommand with valid files, or one of them mutated, and accepted flag values."""
+    cmd = rng.choice(COMMANDS)
+    prefix = rng.choice(["vc", "cvc"])
+    reverse = rng.random() < 0.5  # map-*: certificate to witness
+    files = {"simulate": ["graph", "schedule"], "lower-bound": ["graph"], "approx": ["graph"],
+             "exact": ["graph"], "schedule": ["graph"], "gen-vc": ["p3"], "gen-sat": ["cnf"],
+             "map-vc": [f"{prefix}.graph", f"{prefix}.meta", *(["vc.schedule"] if reverse else [])],
+             "map-sat": ["sat.graph", "sat.meta"]}.get(cmd, [])
+    victim = rng.choice([*files, None])
+
+    def path(name: str):
+        if name != victim:
+            return paths[name]
+        target = scratch / f"mutated-{name}"
+        target.write_text(_mutate(rng, paths[name].read_text()))
+        return target
+
+    def maybe(flag, value=None):
+        # as --flag=value, so argparse takes "-inf" or "-1,2" as a value
+        if rng.random() < 0.5:
+            return []
+        return [flag if value is None else f"{flag}={value}"]
+
+    k = [f"--k={rng.choice(INTS)}"]
+    budget = maybe("--time-budget", rng.choice(BUDGETS))
+    rounds = maybe("--max-rounds", rng.choice(INTS))
+    out = maybe("--schedule-out", scratch / "out.txt")
+    if cmd == "simulate":
+        return [cmd, "--graph", path("graph"), "--schedule", path("schedule")]
+    if cmd == "lower-bound":
+        return [cmd, "--graph", path("graph"), *k, *maybe("--verify-linear")]
+    if cmd == "approx":
+        return [cmd, "--graph", path("graph"), *k, *out]
+    if cmd == "exact":
+        return [cmd, "--graph", path("graph"), *k, *rounds, *budget, *out]
+    if cmd == "schedule":
+        return [cmd, "--graph", path("graph"), f"--sources={_ids(rng)}", *k, *rounds, *budget]
+    if cmd == "gen-vc":
+        return [cmd, "--graph", path("p3"), f"--k={rng.choice(['1', '2'])}",
+                f"--q={rng.choice(INTS)}", *maybe("--connected"), "--out", scratch / "gen"]
+    if cmd == "gen-sat":
+        return [cmd, "--cnf", path("cnf"), "--out", scratch / "gen"]
+    if cmd == "map-vc":
+        cover = rng.choice(["1", _ids(rng)])  # {1} covers the 3-vertex path
+        direction = ["--schedule", path("vc.schedule")] if reverse else [f"--cover={cover}"]
+        return [cmd, "--graph", path(f"{prefix}.graph"), "--meta", path(f"{prefix}.meta"),
+                *direction, *out]
+    if cmd == "map-sat":
+        if reverse:
+            ordering = [f"{rng.randrange(-1, 14)}@{rng.randrange(-1, 6)}"
+                        for _ in range(rng.randrange(6))]
+            direction = f"--ordering={rng.choice(['1@1,0@2,2@3,3@4', ','.join(ordering)])}"
+        else:
+            lits = [rng.choice(["1", "-1", "2", "-2", "3", "0"]) for _ in range(rng.randrange(4))]
+            direction = f"--assignment={rng.choice(['1,-2', ','.join(lits)])}"
+        return [cmd, "--graph", path("sat.graph"), "--meta", path("sat.meta"), direction]
+    return [cmd, f"--n={rng.choice(INTS)}", *k, *(out if cmd == "path-schedule" else [])]
+
+
+def _holds_the_contract(capsys, argv: list) -> None:
+    """Exit 0-3, no escaped exception, empty stdout on 2 and 3, elapsed_ms last."""
+    argv = [str(a) for a in argv]
+    try:
+        code = main(argv)
+    except (Exception, SystemExit) as e:
+        pytest.fail(f"{argv} raised {type(e).__name__}: {e}")
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
+    if code in (2, 3):
+        assert out == "", (argv, err)
+    assert err.splitlines()[-1].startswith("elapsed_ms "), argv
+
+
+def test_fuzz_keeps_the_exit_contract(inputs, tmp_path, capsys):
+    rng = random.Random(SEED)
+    scratch = tmp_path / "fuzz"
+    scratch.mkdir()
+    for _ in range(TRIALS):
+        _holds_the_contract(capsys, _argv(rng, inputs, scratch))
+
+
+@pytest.mark.parametrize("cmd, sidecar", [("map-vc", "vc"), ("map-vc", "cvc"), ("map-sat", "sat")])
+def test_every_sidecar_field_swap_keeps_the_exit_contract(inputs, tmp_path, capsys, cmd, sidecar):
+    # one field at a time, so a value another field contradicts is not
+    # masked by a rejection elsewhere: each top-level field gets its
+    # neighbouring and far-off values (a flipped bool) and other JSON types
+    meta = json.loads(inputs[f"{sidecar}.meta"].read_text())
+    if cmd == "map-sat":
+        directions = [["--assignment=1,-2"], ["--ordering=1@1,0@2,2@3,3@4"]]
+    else:
+        directions = [["--cover=1"], ["--cover="], ["--schedule", inputs["vc.schedule"]]]
+    mutated = tmp_path / "mutated.meta.json"
+    for field, old in meta.items():
+        if type(old) is bool:
+            values = [not old]
+        elif type(old) is int:
+            values = [old + 1, 100 * old, -1]
+        else:
+            values = []
+        for value in [*values, None, "1", []]:
+            mutated.write_text(json.dumps({**meta, field: value}))
+            for direction in directions:
+                _holds_the_contract(capsys, [cmd, "--graph", inputs[f"{sidecar}.graph"],
+                                             "--meta", mutated, *direction])

@@ -75,3 +75,9 @@ def test_segment_sources_layout():
     assert segment_sources(7, 3) == [(2, 1), (5, 2)]
     with pytest.raises(ValueError):
         segment_sources(10, 3)
+
+
+def test_path_schedule_with_k_past_n_builds_only_the_nonempty_subpaths():
+    # subpaths past the n-th are empty, so k = 10**12 costs what k = n does
+    huge = optimal_path_schedule(5, 10**12)
+    assert huge.rounds == optimal_path_schedule(5, 5).rounds == [[0, 1, 2, 3, 4]]
