@@ -10,8 +10,9 @@ on stderr, before the ``elapsed_ms`` line every run ends with:
 - 1 ``invalid``: a ``RuntimeError``, i.e. an invalid ``simulate``
   schedule, a failed ``map-*`` mapping or a failed internal certification;
 - 2 ``parse``: a ``ValueError``, i.e. a usage error, any unreadable or
-  malformed input (gadget sidecars included), a ``--max-rounds`` below 1
-  or a negative or NaN ``--time-budget`` (argparse's errors exit 2 too);
+  malformed input (gadget sidecars included), an output file that cannot
+  be written, a ``--max-rounds`` below 1 or a negative or NaN
+  ``--time-budget`` (argparse's errors exit 2 too);
 - 3 ``limit``: an ``UndeterminedError``, i.e. ``--max-rounds`` or
   ``--time-budget`` ran out.
 """
@@ -52,7 +53,7 @@ from .reductions import (
     schedule_to_vc,
     assignment_to_schedule,
     vc_instance_meta,
-    vc_to_schedule,
+    _vc_to_schedule,
 )
 
 
@@ -61,6 +62,14 @@ def _read(what: str, path: str, parse):
     try:
         return parse(Path(path).read_text())
     except (OSError, ValueError) as e:
+        raise ValueError(f"{what} {path}: {e}") from e
+
+
+def _write(what: str, path: str, text: str) -> None:
+    """Write ``text`` to the file; a failure to write it names the file, as ``_read`` does."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
         raise ValueError(f"{what} {path}: {e}") from e
 
 
@@ -86,14 +95,23 @@ def _parse_ordering(text: str) -> dict[int, int]:
     return ordering
 
 
+def _write_schedule(s: Schedule, out: str | None) -> None:
+    """Write the schedule to ``out`` when that is given.
+
+    Commands call this before their first stdout line, so that an
+    unwritable file leaves stdout empty, as an unreadable input does.
+    """
+    if out:
+        _write("schedule", out, serialize_schedule(s))
+
+
 def _report_schedule(s: Schedule, out: str | None) -> None:
-    """Print the schedule, and write it to ``out`` when that is given."""
+    """Print the schedule, and the file ``_write_schedule`` wrote it to."""
     print("k", s.k)
     print("rounds", len(s.rounds))
     for i, batch in enumerate(s.rounds, start=1):
         print("schedule_round", i, *batch)
     if out:
-        Path(out).write_text(serialize_schedule(s))
         print("schedule_file", out)
 
 
@@ -136,6 +154,7 @@ def _cmd_lower_bound(args) -> None:
 def _cmd_approx(args) -> None:
     g = _read("graph", args.graph, parse_graph)
     result = approx_schedule(g, args.k)
+    _write_schedule(result.schedule, args.schedule_out)
     print("command", "approx")
     print("graph", args.graph)
     print("n", g.n)
@@ -152,6 +171,7 @@ def _cmd_exact(args) -> None:
     b, witness = exact_burning_number(
         g, args.k, max_rounds=args.max_rounds, time_budget=args.time_budget
     )
+    _write_schedule(witness, args.schedule_out)
     print("command", "exact")
     print("graph", args.graph)
     print("n", g.n)
@@ -185,8 +205,8 @@ def _cmd_gen_vc(args) -> None:
     inst = build_vc_instance(g, args.k, args.q, connected=args.connected)
     graph_path = f"{args.out}.graph.txt"
     meta_path = f"{args.out}.meta.json"
-    Path(graph_path).write_text(serialize_graph(inst.gprime))
-    Path(meta_path).write_text(json.dumps(vc_instance_meta(inst)) + "\n")
+    _write("graph", graph_path, serialize_graph(inst.gprime))
+    _write("metadata", meta_path, json.dumps(vc_instance_meta(inst)) + "\n")
     print("command", "gen-vc")
     print("graph", args.graph)
     print("k", args.k)
@@ -203,8 +223,8 @@ def _cmd_gen_sat(args) -> None:
     si = _read("cnf", args.cnf, lambda text: build_sat_instance(parse_dimacs_cnf(text)))
     graph_path = f"{args.out}.graph.txt"
     meta_path = f"{args.out}.meta.json"
-    Path(graph_path).write_text(serialize_graph(si.inst.graph))
-    Path(meta_path).write_text(json.dumps(sat_instance_meta(si)) + "\n")
+    _write("graph", graph_path, serialize_graph(si.inst.graph))
+    _write("metadata", meta_path, json.dumps(sat_instance_meta(si)) + "\n")
     print("command", "gen-sat")
     print("cnf", args.cnf)
     print("variables", si.cnf.n_vars)
@@ -229,11 +249,11 @@ def _cmd_map_vc(args) -> None:
     inst = load_vc_instance(g, _read("metadata", args.meta, json.loads))
     if (args.cover is None) == (args.schedule is None):
         raise ValueError("map-vc needs exactly one of --cover or --schedule")
-    # read and map before the first stdout line, so a failure prints nothing
+    # read, map and write before the first stdout line, so a failure prints nothing
     if args.cover is not None:
         cover = _parse_ints(args.cover, "cover")
-        sched = _mapped(vc_to_schedule, inst, cover)
-        completion = simulate(inst.gprime, sched).completion_round
+        sched, completion = _mapped(_vc_to_schedule, inst, cover)
+        _write_schedule(sched, args.schedule_out)
     else:
         sched = _read("schedule", args.schedule, parse_schedule)
         cover = _mapped(schedule_to_vc, inst, sched)
@@ -287,6 +307,7 @@ def _cmd_path_number(args) -> None:
 def _cmd_path_schedule(args) -> None:
     sched = optimal_path_schedule(args.n, args.k)
     b = path_burning_number(args.n, args.k)
+    _write_schedule(sched, args.schedule_out)
     print("command", "path-schedule")
     print("n", args.n)
     print("k", args.k)

@@ -134,18 +134,26 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
     raise AssertionError("no bad edge found")
 
 
+_EDGE_OUT_OF_RANGE = "edge ({u},{v}) out of range for n={n}"
+
+
+def _check_vertex_count(n: int) -> None:
+    """Raise ValueError if n is negative or above MAX_VERTICES."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the vertex bound {MAX_VERTICES}")
+
+
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge iterable, rejecting loops and duplicates.
 
     Raises ValueError if n is negative or above MAX_VERTICES.
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the vertex bound {MAX_VERTICES}")
+    _check_vertex_count(n)
     ids = [x for u, v in edges for x in (u, v)]
     try:
-        return _build(n, ids, "edge ({u},{v}) out of range for n={n}")
+        return _build(n, ids, _EDGE_OUT_OF_RANGE)
     except _BadEdge as e:
         raise ValueError(e.args[0]) from None
 
@@ -357,10 +365,16 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 # Builders for the standard families used throughout the test-suite and
-# the scaling experiments.
+# the scaling experiments.  The path and the grid cut their flat id list
+# from slices of the table ``list(range(n))`` and hand both to _build, so
+# no int is made per edge; their pairs come in the ascending order that
+# _build's order test accepts.
 
 def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    _check_vertex_count(n)
+    vid = list(range(n))
+    return _build(n, list(chain.from_iterable(zip(vid, islice(vid, 1, None)))),
+                  _EDGE_OUT_OF_RANGE, vid)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -379,13 +393,29 @@ def star_graph(n: int) -> Graph:
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
-    """Rows x cols grid, vertices row-major."""
-    def gen():
-        for r in range(rows):
-            for c in range(cols):
-                v = r * cols + c
-                if c + 1 < cols:
-                    yield (v, v + 1)
-                if r + 1 < rows:
-                    yield (v, v + cols)
-    return graph_from_edges(rows * cols, gen())
+    """Rows x cols grid, vertices row-major.
+
+    Raises ValueError if either dimension is negative or the grid has more
+    than MAX_VERTICES vertices; a dimension of 0 gives the empty graph.
+    """
+    if rows < 0 or cols < 0:
+        raise ValueError(f"grid dimensions must be non-negative, got {rows}x{cols}")
+    n = rows * cols
+    _check_vertex_count(n)
+    vid = list(range(n))
+    # 2m ids, m = rows(cols - 1) + (rows - 1)cols; [0] * a negative size is
+    # [] when a dimension is 0.  Made once: grown row by row, the list left
+    # about 12 MB of outgrown buffers resident on the 1000x1000 grid.
+    ids = [0] * (2 * (2 * n - rows - cols))
+    at = 0
+    for start in range(0, n, cols or 1):  # cols is 0 only when n is
+        row, below = vid[start:start + cols], vid[start + cols:start + 2 * cols]
+        # (v, v + 1) then (v, v + cols) for each v but the last, then the
+        # last column's vertical pair; the last row has no row below
+        if below:
+            pairs = [*chain.from_iterable(zip(row, row[1:], row, below)), row[-1], below[-1]]
+        else:
+            pairs = [*chain.from_iterable(zip(row, row[1:]))]
+        ids[at:at + len(pairs)] = pairs
+        at += len(pairs)
+    return _build(n, ids, _EDGE_OUT_OF_RANGE, vid)

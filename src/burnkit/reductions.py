@@ -27,7 +27,7 @@ from math import inf
 
 from .burning import Schedule, _pad_certified, simulate
 from .exact import SchedulingInstance, ordering_feasible
-from .graph import Graph, bfs_distances, graph_from_edges
+from .graph import MAX_VERTICES, Graph, bfs_distances, graph_from_edges
 from .paths import segment_sources
 
 
@@ -80,7 +80,12 @@ class VcInstance:
 
 
 def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcInstance:
-    """Materialize the cover-to-burning gadget for (g, k, q)."""
+    """Materialize the cover-to-burning gadget for (g, k, q).
+
+    Raises ReductionError on bad parameters, or when the gadget would have
+    more than MAX_VERTICES vertices; its size is computed before anything
+    of that size is allocated.
+    """
     if g.n < 1:
         raise ReductionError("input graph must have at least one vertex")
     if k < 1:
@@ -100,6 +105,15 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
         base_edges = sorted(g.edges())
         budget = q
 
+    d_count = 2 * base_n * k
+    if connected:
+        rest = budget + 2 * base_n + 2 + (2 * base_n + 3) ** 2  # the backbone, below
+    else:
+        rest = (k - 1) * budget + k * (2 * base_n * k + 3)  # the isolated vertices
+    size = base_n + len(base_edges) * (2 + d_count + base_n) + rest
+    if size > MAX_VERTICES:
+        raise ReductionError(f"gadget of {size} vertices exceeds the vertex bound {MAX_VERTICES}")
+
     roles: list[Role] = []
 
     def alloc(role: Role) -> int:
@@ -109,7 +123,6 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
     for x in range(base_n):
         alloc(("v", x))
 
-    d_count = 2 * base_n * k
     edges_out: list[tuple[int, int]] = []
     for u, v in base_edges:
         uv = alloc(("e", u, v))
@@ -123,8 +136,7 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
         edges_out.extend(zip(chain, chain[1:]))
 
     if not connected:
-        iso_count = (k - 1) * budget + k * (2 * base_n * k + 3)
-        for i in range(1, iso_count + 1):
+        for i in range(1, rest + 1):
             alloc(("iso", i))
     else:
         # backbone off w: a run of q + 2n + 2 spacer vertices, then 2n + 3
@@ -177,6 +189,11 @@ def vc_to_schedule(inst: VcInstance, cover) -> Schedule:
     certified, completes by round q + 2nk + 3, and an instance short of the
     isolated or backbone vertices its fields ask for raises ReductionError.
     """
+    return _vc_to_schedule(inst, cover)[0]
+
+
+def _vc_to_schedule(inst: VcInstance, cover) -> tuple[Schedule, int]:
+    """vc_to_schedule's schedule, with the completion round its certificate gave."""
     cov = sorted(set(cover))
     for c in cov:
         if not (0 <= c < inst.original_n):
@@ -214,7 +231,7 @@ def vc_to_schedule(inst: VcInstance, cover) -> Schedule:
     sched, completion = _pad_certified(inst.gprime, k, batches)
     if completion > inst.round_bound:
         raise ReductionError("constructed schedule failed validation")  # pragma: no cover
-    return sched
+    return sched, completion
 
 
 def schedule_to_vc(inst: VcInstance, s: Schedule):

@@ -511,3 +511,28 @@ def test_exit_routes(capsys, tmp_path, p4, monkeypatch):
         code, out, err = run(capsys, "simulate", *argv)
         assert (code, out) == (2, "")
         assert err.splitlines()[0].startswith(prefix)
+
+
+# an output path under a missing directory, run from golden_dir
+@pytest.mark.parametrize("argv,named", [
+    (["approx", "--graph", "g.txt", "--schedule-out", "no-dir/s.txt"], "schedule no-dir/s.txt"),
+    (["exact", "--graph", "g.txt", "--schedule-out", "no-dir/s.txt"], "schedule no-dir/s.txt"),
+    (["path-schedule", "--n", "9", "--schedule-out", "no-dir/s.txt"], "schedule no-dir/s.txt"),
+    (["map-vc", "--graph", "vc.graph.txt", "--meta", "vc.meta.json", "--cover", "1,2",
+      "--schedule-out", "no-dir/s.txt"], "schedule no-dir/s.txt"),
+    (["gen-vc", "--graph", "g.txt", "--q", "2", "--out", "no-dir/vc"], "graph no-dir/vc.graph.txt"),
+    (["gen-sat", "--cnf", "f.cnf", "--out", "no-dir/sat"], "graph no-dir/sat.graph.txt"),
+], ids=["approx", "exact", "path-schedule", "map-vc", "gen-vc", "gen-sat"])
+def test_unwritable_output_is_a_parse_error(capsys, golden_dir, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0].startswith(f"error parse {named}: ")
+
+
+def test_map_vc_prints_the_completion_its_certificate_gave(capsys, golden_dir, monkeypatch):
+    def no_second_pass(*args, **kwargs):
+        raise AssertionError("simulate called")
+
+    monkeypatch.setattr("burnkit.cli.simulate", no_second_pass)
+    row = next(row for row in GOLDEN if row[0] == "map-vc-cover")
+    assert run(capsys, *row[1])[:2] == (row[2], row[3])

@@ -97,7 +97,8 @@ def _grid_text(rows: int, cols: int, first: str = "0") -> str:
     lambda: parse_graph("2000 2\n300 1999\n1999 1000\n"),  # n > 2m: table made by the builder
     lambda: graph_from_edges(1600, [(v, v + 1) for v in range(1599)] + [(0, 1599)]),
     lambda: grid_graph(40, 40),
-], ids=["parse", "parse-negative-zero", "parse-sparse", "from-edges", "grid"])
+    lambda: path_graph(1000),
+], ids=["parse", "parse-negative-zero", "parse-sparse", "from-edges", "grid", "path"])
 def test_adjacency_shares_one_int_per_vertex(build):
     g = build()
     assert g.n > 256  # ids up to 256 are cached by the interpreter anyway
@@ -148,6 +149,22 @@ def test_builder_runs_no_collection():
     assert [s["collections"] for s in after] == [s["collections"] for s in before]
 
 
+@pytest.mark.parametrize("build", [lambda: path_graph(20000), lambda: grid_graph(141, 142)],
+                         ids=["path", "grid"])
+def test_generators_run_no_collection(build):
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        gc.collect()
+        before = gc.get_stats()
+        g = build()
+        after = gc.get_stats()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert g.n >= 20000
+    assert [s["collections"] for s in after] == [s["collections"] for s in before]
+
+
 @pytest.mark.parametrize("build,message", [
     (lambda: parse_graph("2000000 1\n0 2000000\n"), "line 2: vertex id out of range in (0,2000000)"),
     (lambda: parse_graph("2000000 1\n5 5\n"), "line 2: self-loop at vertex 5"),
@@ -156,7 +173,12 @@ def test_builder_runs_no_collection():
      f"line 1: n = {MAX_VERTICES + 1} exceeds the vertex bound {MAX_VERTICES}"),
     (lambda: graph_from_edges(MAX_VERTICES + 1, []),
      f"vertex count {MAX_VERTICES + 1} exceeds the vertex bound {MAX_VERTICES}"),
-], ids=["parse-range", "parse-self-loop", "from-edges-range", "parse-bound", "from-edges-bound"])
+    (lambda: path_graph(MAX_VERTICES + 1),
+     f"vertex count {MAX_VERTICES + 1} exceeds the vertex bound {MAX_VERTICES}"),
+    (lambda: grid_graph(10**4 + 1, 10**4),
+     f"vertex count {10**8 + 10**4} exceeds the vertex bound {MAX_VERTICES}"),
+], ids=["parse-range", "parse-self-loop", "from-edges-range", "parse-bound", "from-edges-bound",
+        "path-bound", "grid-bound"])
 def test_rejected_huge_header_allocates_nothing_of_size_n(build, message):
     tracemalloc.start()
     try:
@@ -281,6 +303,44 @@ def test_builders():
     assert g.n == 12 and g.m == 3 * 3 + 2 * 4
     with pytest.raises(ValueError):
         cycle_graph(2)
+
+
+def _path_edges(n):
+    """The path's edges, one tuple each: the reference for path_graph's id list."""
+    return ((i, i + 1) for i in range(n - 1))
+
+
+def _grid_edges(rows, cols):
+    """The grid's edges, one tuple each: the reference for grid_graph's id list."""
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                yield (v, v + 1)
+            if r + 1 < rows:
+                yield (v, v + cols)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 1000])
+def test_path_graph_matches_its_edge_generator(n):
+    assert path_graph(n).adj == graph_from_edges(n, _path_edges(n)).adj
+
+
+@pytest.mark.parametrize("rows,cols", [
+    (0, 0), (0, 3), (3, 0), (1, 1), (1, 2), (2, 1), (1, 5), (5, 1), (2, 2), (2, 6), (6, 2),
+    (40, 37),
+])
+def test_grid_graph_matches_its_edge_generator(rows, cols):
+    g = grid_graph(rows, cols)
+    assert g.n == rows * cols
+    assert g.adj == graph_from_edges(rows * cols, _grid_edges(rows, cols)).adj
+
+
+@pytest.mark.parametrize("rows,cols", [(-2, -3), (-1, 4), (4, -1), (-1, 0), (0, -1)])
+def test_grid_graph_rejects_negative_dimensions(rows, cols):
+    with pytest.raises(ValueError) as exc:
+        grid_graph(rows, cols)
+    assert str(exc.value) == f"grid dimensions must be non-negative, got {rows}x{cols}"
 
 
 @settings(max_examples=60)

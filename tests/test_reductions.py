@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from burnkit import (
     graph_from_edges,
     parse_dimacs_cnf,
     parse_graph,
+    path_graph,
     satisfies,
     schedule_sources,
     schedule_to_assignment,
@@ -96,6 +98,29 @@ def test_vc_parameter_validation():
         build_vc_instance(g, 1, 5)
     with pytest.raises(ReductionError):
         build_vc_instance(g, 2, 2, connected=True)
+
+
+def test_vc_gadget_above_the_vertex_bound_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ReductionError) as exc:
+            build_vc_instance(path_graph(3), 100000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "gadget of 60001600012 vertices exceeds the vertex bound 100000000"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("k,q,connected", [(1, 2, False), (3, 1, False), (1, 2, True)])
+def test_vc_gadget_size_is_checked_exactly(monkeypatch, k, q, connected):
+    g = complete_graph(4)
+    n = build_vc_instance(g, k, q, connected=connected).gprime.n
+    monkeypatch.setattr("burnkit.reductions.MAX_VERTICES", n)
+    assert build_vc_instance(g, k, q, connected=connected).gprime.n == n
+    monkeypatch.setattr("burnkit.reductions.MAX_VERTICES", n - 1)
+    with pytest.raises(ReductionError, match=f"gadget of {n} vertices exceeds"):
+        build_vc_instance(g, k, q, connected=connected)
 
 
 def test_vc_forward_schedule_k4():
