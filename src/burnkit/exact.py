@@ -256,7 +256,9 @@ def ordering_feasible(
     """
     if sorted(ordering) != list(inst.sources):
         return False, "ordering must assign exactly the instance sources"
-    batches: list[list[int]] = [[] for _ in range(rounds)]
+    # rounds past the last one assigned would add only batch-size violations
+    top = max((r for r in ordering.values() if 1 <= r <= rounds), default=0)
+    batches: list[list[int]] = [[] for _ in range(top)]
     for s, r in ordering.items():
         if not (1 <= r <= rounds):
             return False, f"source {s} assigned round {r} outside 1..{rounds}"
@@ -365,9 +367,7 @@ def schedule_sources(
     if suffix(0, rounds - 1) != full:
         return None
 
-    # sources placed per round; the extra round never fills, a sentinel
-    # that ends the scan for the earliest round with room
-    capacity = [0] * (rounds + 2)
+    capacity: dict[int, int] = {}  # sources placed per round; a round not listed holds none
     when: list[int] = []  # when[j] = round of source j, for the sources placed so far
 
     def place(i: int, covered: int) -> bool:
@@ -376,7 +376,7 @@ def schedule_sources(
         if i == len(srcs):
             return True  # covered == full, or the bound would have cut this branch
         first = 1  # the earliest round with room: every round before it is full
-        while capacity[first] >= k:
+        while capacity.get(first, 0) >= k:
             first += 1
         if first > rounds:
             return False
@@ -387,22 +387,23 @@ def schedule_sources(
         # a placement that leaves room at first keeps the bound's suffix term
         later = suffix(i + 1, rounds - first)
         for r in range(lo, hi + 1):
-            if capacity[r] >= k:
+            used = capacity.get(r, 0)
+            if used >= k:
                 continue
             now = covered | ball(i, rounds - r)
-            if r == first and capacity[r] == k - 1:
+            if r == first and used == k - 1:
                 free = r + 1  # placing here fills first: the bound moves on
-                while capacity[free] >= k:
+                while capacity.get(free, 0) >= k:
                     free += 1
                 if now | (suffix(i + 1, rounds - free) if free <= rounds else 0) != full:
                     continue
             elif now | later != full:
                 break  # the ball only shrinks as r grows, and later stays put
             when.append(r)
-            capacity[r] += 1
+            capacity[r] = used + 1
             if place(i + 1, now):
                 return True
-            capacity[r] -= 1
+            capacity[r] = used
             when.pop()
         return False
 

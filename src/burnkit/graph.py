@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import json
-from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -158,51 +157,41 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise ValueError(e.args[0]) from None
 
 
-def _slices(text: str, start: int, canonical: bool) -> Iterator[str | bytes]:
-    """``text[start:]`` as slices of whole lines, each _SLICE characters or a line more.
-
-    With ``canonical`` each slice comes as ASCII bytes, and the slices stop
-    at the first one whose lines are not all ``digits SP digits LF``.  That
-    test is one pass in C; it lets an empty digit run through, so the caller
-    also counts the tokens.
-    """
+def _slices(text: str, start: int) -> Iterator[str]:
+    """``text[start:]`` as slices of whole lines, each _SLICE characters or a line more."""
     while start < len(text):
         end = text.find("\n", start + _SLICE) + 1 or len(text)
-        chunk = text[start:end]
-        if canonical:
-            chunk = chunk.encode()
-            if chunk.translate(None, b"0123456789") != b" \n" * chunk.count(b"\n"):
-                return
-        yield chunk
+        yield text[start:end]
         start = end
 
 
-def _read_ids(chunks: Iterable[str | bytes], vid: list[int] | None, size: int) -> list[int]:
-    """The one converter: each slice's tokens as ints, then through ``vid`` if given.
+def _read_ids(chunk: str, vid: list[int] | None) -> tuple[list[int], int]:
+    """The one converter: a slice's ids, through ``vid`` if given, and its line count.
 
-    A canonical (bytes) slice, its spaces and LFs turned into commas, is
-    read as one JSON array by the C scanner; every other slice goes
-    through ``int`` token by token.  The ids fill a list of ``size``
-    slots made once: grown slice by slice instead, the list left about
-    30 MB of outgrown buffers resident on the 1000x1000 grid.  Stops at
-    the first slice with a token that is no integer, that the scanner
-    rejects (a leading zero such as ``007``, an empty digit run) or,
-    through ``vid``, no id below n, so the list comes out short.
+    A canonical slice (ASCII, every line ``digits SP digits LF``) is
+    shape-tested in C and read as one JSON array by the C scanner, unless
+    the scanner rejects it (a leading zero such as ``007``, an empty digit
+    run); other slices have their tokens counted line by line and go
+    through ``int``.  Raises ValueError for a line of neither zero nor two
+    tokens or a token that is no integer, and, through ``vid``, IndexError
+    for an id not below n.
     """
-    ids = [0] * size
-    end = 0
-    with suppress(ValueError, IndexError):
-        for chunk in chunks:
-            if isinstance(chunk, bytes):
-                tokens = json.loads(b"[" + chunk.translate(_COMMAS)[:-1] + b"]")
-            else:
-                tokens = list(map(int, chunk.split()))
-            if vid is not None:
-                tokens = list(map(vid.__getitem__, tokens))
-            ids[end:end + len(tokens)] = tokens
-            end += len(tokens)
-    del ids[end:]
-    return ids
+    tokens = None
+    if chunk.isascii():
+        raw = chunk.encode()
+        lines = raw.count(b"\n")
+        if raw.endswith(b"\n") and raw.translate(None, b"0123456789") == b" \n" * lines:
+            with suppress(ValueError):
+                tokens = json.loads(b"[" + raw.translate(_COMMAS)[:-1] + b"]")
+    if tokens is None:
+        rows = chunk.splitlines()
+        if not set(map(len, map(str.split, rows))) <= {0, 2}:
+            raise ValueError("a line holds neither zero nor two tokens")
+        tokens = list(map(int, chunk.split()))
+        lines = len(rows)
+    if vid is not None:
+        tokens = list(map(vid.__getitem__, tokens))
+    return tokens, lines
 
 
 def parse_graph(text: str) -> Graph:
@@ -212,15 +201,16 @@ def parse_graph(text: str) -> Graph:
     malformed line, id out of range, self-loop, duplicate edge, an edge
     count that does not match the header, or n above MAX_VERTICES.
 
-    The body is converted in slices of about _SLICE characters of whole
-    lines, so the text is never split into one string per line.  A
-    canonical document (ASCII, every line ``digits SP digits LF``, as
-    serialize_graph writes it) is shape-tested slice by slice in C as it
-    converts, and each slice is read by the JSON scanner where it can be.
-    Any other layout (CRLF, tabs, blank lines, signs, ``1_0``, no final
-    LF) first has its tokens counted line by line, then converts through
-    the same slices.  Lines are read one by one only to locate an
-    error.
+    The body is read in one walk over slices of about _SLICE characters
+    of whole lines, so the text is never split into one string per line.
+    Each slice converts as it comes: a canonical one (ASCII, every line
+    ``digits SP digits LF``, as serialize_graph writes it) through a shape
+    test and the JSON scanner in C, any other layout (CRLF, tabs, blank
+    lines, signs, ``1_0``, no final LF) line by line through ``int``.  The
+    first slice that fails is read line by line to its first malformed
+    line and the walk stops there.  The ids go through _build once; only
+    if it finds a bad edge is the body walked again to find that edge's
+    line.
     """
     first = text[: text.find("\n") + 1 or len(text)].splitlines()
     if not first or not first[0].strip():
@@ -237,60 +227,65 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(1, "n and m must be non-negative")
     if n > MAX_VERTICES:
         raise GraphFormatError(1, f"n = {n} exceeds the vertex bound {MAX_VERTICES}")
-    start = len(header) + 1  # the body, or a blank line before it if the header ends in CRLF
+    start = len(header) + (2 if text.startswith("\r\n", len(header)) else 1)
 
+    # The ids fill 2m slots made once (grown slice by slice instead, the list
+    # left about 30 MB of outgrown buffers resident on the 1000x1000 grid),
+    # read straight through the builder's table of vertex ids, so 2m ints are
+    # never made.  Only when the body has m LFs, so that a header alone
+    # allocates nothing of size m or n; the table also not when it would
+    # outnumber the ids, nor when the body holds a "-": it would wrap a
+    # negative id.
+    size = 2 * m if text.count("\n", start) >= m else 0
+    vid = None
+    if size and n <= size and text.find("-", start) < 0:
+        vid = list(range(n))
+    ids = [0] * size
+    end, line, error = 0, 2, None  # the ids read, the line the next slice starts at
+    for chunk in _slices(text, start):
+        try:
+            tokens, lines = _read_ids(chunk, vid)
+        except (ValueError, IndexError):
+            tokens = None
+        if tokens is None or end + len(tokens) > 2 * m:
+            break
+        ids[end:end + len(tokens)] = tokens
+        end += len(tokens)
+        line += lines
+    else:
+        chunk = ""
+    del ids[end:]
     out_of_range = "vertex id out of range in ({u},{v})"
-    # A document that looks canonical is tried first.  If a slice of another
-    # layout, a bad id or a short token count stops it, the tokens are
-    # counted line by line and the document converts again.
-    for canonical in (True, False):
-        if canonical:
-            shaped = text.endswith("\n") and text.count("\n", start) == m
-        else:
-            body = chain.from_iterable(map(str.splitlines, _slices(text, start, False)))
-            counts = Counter(map(len, map(str.split, body)))
-            shaped = counts.keys() <= {0, 2} and counts[2] == m
-        if not shaped:
-            continue
-        # Read the ids straight through the builder's table of vertex ids,
-        # so 2m ints are never made; an id >= n raises IndexError.  Not when
-        # the table would outnumber the ids, so that a header alone allocates
-        # nothing of size n, nor when the body holds a "-": the table would
-        # wrap a negative id.
-        vid = None
-        if n <= 2 * m and (canonical or text.find("-", start) < 0):
-            vid = list(range(n))
-        ids = _read_ids(_slices(text, start, canonical), vid, 2 * m)
-        if len(ids) == 2 * m:
-            try:
-                return _build(n, ids, out_of_range, vid)
-            except _BadEdge:
-                break
-        del ids, vid
-    lines = text.splitlines()
-    # read up to the first malformed line; an edge error before it comes first
-    ids, where, error = [], [], None
-    for idx, raw in enumerate(lines[1:], start=2):
+    # read the slice that failed up to its first malformed line; a bad edge before it comes first
+    for idx, raw in enumerate(chunk.splitlines(), start=line):
         parts = raw.split()
         if not parts:
             continue
-        if len(where) == m:
+        if len(ids) == 2 * m:
             error = GraphFormatError(idx, f"more than {m} edge lines")
         elif len(parts) != 2:
             error = GraphFormatError(idx, f"expected 'u v', got {raw.strip()!r}")
         else:
             try:
-                ids += (int(parts[0]), int(parts[1]))
-                where.append(idx)
+                ids += _read_ids(raw, vid)[0]
                 continue
             except ValueError:
                 error = GraphFormatError(idx, f"expected two integers, got {raw.strip()!r}")
+            except IndexError:  # through vid, an id >= n: every edge before it is in range
+                u, v = map(int, parts)
+                error = GraphFormatError(idx, out_of_range.format(u=u, v=v))
         break
+    if error is None and len(ids) < 2 * m:
+        error = GraphFormatError(line, f"expected {m} edges, found {len(ids) // 2}")
     try:
-        _build(n, ids, out_of_range)
+        g = _build(n, ids, out_of_range, vid)
     except _BadEdge as e:
-        raise GraphFormatError(where[e.args[1]], e.args[0]) from None
-    raise error or GraphFormatError(len(lines) + 1, f"expected {m} edges, found {len(where)}")
+        body = chain.from_iterable(map(str.splitlines, _slices(text, start)))
+        edge_lines = (idx for idx, raw in enumerate(body, start=2) if raw.split())
+        raise GraphFormatError(next(islice(edge_lines, e.args[1], None)), e.args[0]) from None
+    if error:
+        raise error
+    return g
 
 
 def serialize_graph(g: Graph) -> str:

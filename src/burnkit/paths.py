@@ -61,8 +61,6 @@ def optimal_path_schedule(n: int, k: int) -> Schedule:
     start = 0
     for i in range(min(k, n)):  # subpaths past the n-th are empty
         length = size + (1 if i < rem else 0)
-        if length == 0:
-            continue
         for v, r in segment_sources(length, b, base=start):
             batches[r - 1].append(v)
         start += length

@@ -6,15 +6,23 @@ one, or a JSON value swapped for one of another type or range) and draws
 flag values that argparse accepts, nan and inf included.  A sweep then
 swaps each top-level sidecar field in turn.  Graphs stay at a few dozen
 vertices and every value stays small, so every trial is cheap and nothing
-allocates near ``MAX_VERTICES``.
+allocates near ``MAX_VERTICES``.  Last, each numeric flag is set to 10**12
+on the same small inputs, each run in a child process under a cap on its
+address space.
 """
 
 import json
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import burnkit
 from burnkit.cli import main
 
 SEED = 20260
@@ -160,18 +168,23 @@ def _argv(rng: random.Random, paths: dict, scratch) -> list[str]:
     return [cmd, f"--n={rng.choice(INTS)}", *k, *(out if cmd == "path-schedule" else [])]
 
 
+def _check_contract(argv: list, code: int, out: str, err: str) -> None:
+    """Exit 0-3, empty stdout on 2 and 3, elapsed_ms last (so no traceback after it)."""
+    assert code in (0, 1, 2, 3), (argv, err)
+    if code in (2, 3):
+        assert out == "", (argv, err)
+    assert err.splitlines()[-1].startswith("elapsed_ms "), (argv, err)
+
+
 def _holds_the_contract(capsys, argv: list) -> None:
-    """Exit 0-3, no escaped exception, empty stdout on 2 and 3, elapsed_ms last."""
+    """The exit contract, with no exception escaping ``main``."""
     argv = [str(a) for a in argv]
     try:
         code = main(argv)
     except (Exception, SystemExit) as e:
         pytest.fail(f"{argv} raised {type(e).__name__}: {e}")
     out, err = capsys.readouterr()
-    assert code in (0, 1, 2, 3), argv
-    if code in (2, 3):
-        assert out == "", (argv, err)
-    assert err.splitlines()[-1].startswith("elapsed_ms "), argv
+    _check_contract(argv, code, out, err)
 
 
 def test_fuzz_keeps_the_exit_contract(inputs, tmp_path, capsys):
@@ -205,3 +218,42 @@ def test_every_sidecar_field_swap_keeps_the_exit_contract(inputs, tmp_path, caps
             for direction in directions:
                 _holds_the_contract(capsys, [cmd, "--graph", inputs[f"{sidecar}.graph"],
                                              "--meta", mutated, *direction])
+
+
+HUGE = 10**12
+# every flag that could size something, at HUGE, once per subcommand that takes it
+HUGE_FLAGS = {
+    "lower-bound-k": ["lower-bound", "--graph", "{graph}", "--k={huge}"],
+    "approx-k": ["approx", "--graph", "{graph}", "--k={huge}"],
+    "exact-k": ["exact", "--graph", "{graph}", "--k={huge}"],
+    "exact-max-rounds": ["exact", "--graph", "{graph}", "--max-rounds={huge}"],
+    "schedule-k": ["schedule", "--graph", "{graph}", "--sources=0,3", "--k={huge}"],
+    "schedule-max-rounds": ["schedule", "--graph", "{graph}", "--sources=0,3", "--max-rounds={huge}"],
+    "schedule-max-rounds-p3": ["schedule", "--graph", "{p3}", "--sources=1", "--max-rounds={huge}"],
+    "gen-vc-k": ["gen-vc", "--graph", "{p3}", "--q=1", "--k={huge}", "--out", "{out}"],
+    "gen-vc-q": ["gen-vc", "--graph", "{p3}", "--q={huge}", "--out", "{out}"],
+    "path-number-n": ["path-number", "--n={huge}"],
+    "path-number-k": ["path-number", "--n=5", "--k={huge}"],
+    "path-schedule-n": ["path-schedule", "--n={huge}"],
+    "path-schedule-k": ["path-schedule", "--n=5", "--k={huge}"],
+}
+# The child's address space: every case above holds at 10**6 under it, the
+# largest (path-schedule --n) peaking at 205 MB, while a structure sized by
+# 10**12 fails at once instead of paging the machine.
+CHILD_BYTES = 1 << 30
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_BYTES, CHILD_BYTES))
+
+
+@pytest.mark.parametrize("argv", HUGE_FLAGS.values(), ids=HUGE_FLAGS.keys())
+def test_huge_flags_keep_the_exit_contract(inputs, tmp_path, argv):
+    # always in a capped child process: in process, a flag that does size
+    # something by 10**12 would take the test run's memory with it
+    argv = [a.format(graph=inputs["graph"], p3=inputs["p3"], out=tmp_path / "gen", huge=HUGE)
+            for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(burnkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "burnkit", *argv], capture_output=True,
+                          text=True, timeout=120, env=env, preexec_fn=_cap_address_space)
+    _check_contract(argv, proc.returncode, proc.stdout, proc.stderr)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from burnkit import (
     MAX_VERTICES,
+    Graph,
     GraphFormatError,
     bfs_distances,
     complete_graph,
@@ -193,12 +194,13 @@ def test_rejected_huge_header_allocates_nothing_of_size_n(build, message):
 
 @pytest.mark.parametrize("build,allowance", [
     # the whole-text parser peaked 7.1 MB above this graph, in its list of lines
-    (lambda: grid_graph(300, 300), 4 << 20),
+    (lambda: serialize_graph(grid_graph(300, 300)), 4 << 20),
+    (lambda: serialize_graph(grid_graph(300, 300)).replace("\n", "\r\n"), 4 << 20),
     # here the id list and the id table (4.8 MB) set the peak, as they did before
-    (lambda: path_graph(200_000), 5 << 20),
-], ids=["grid-300x300", "path-200000"])
+    (lambda: serialize_graph(path_graph(200_000)), 5 << 20),
+], ids=["grid-300x300", "grid-300x300-crlf", "path-200000"])
 def test_parse_peaks_little_above_its_graph(build, allowance):
-    text = serialize_graph(build())
+    text = build()
     tracemalloc.start()
     try:
         g = parse_graph(text)
@@ -207,6 +209,31 @@ def test_parse_peaks_little_above_its_graph(build, allowance):
         tracemalloc.stop()
     assert g.m == int(text.split(maxsplit=2)[1])
     assert peak - graph <= allowance
+
+
+def _traced_parse(text: str) -> tuple[Graph | GraphFormatError, int]:
+    """parse_graph's graph or error, and its traced peak in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            result = parse_graph(text)
+        except GraphFormatError as e:
+            result = e
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_error_on_the_last_line_peaks_no_higher_than_the_clean_parse():
+    # the error path once split the whole text into lines and read it again
+    text = serialize_graph(grid_graph(300, 300))
+    bad = text[:text.rindex("\n", 0, -1) + 1] + "x 1\n"
+    g, clean_peak = _traced_parse(text)
+    error, peak = _traced_parse(bad)
+    assert g.m == 179400
+    assert str(error) == "line 179401: expected two integers, got 'x 1'"
+    assert peak <= clean_peak + (1 << 20)
 
 
 def test_serialize_canonical():
