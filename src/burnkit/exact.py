@@ -13,7 +13,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations, compress
 
 from .approx import UndeterminedError, _search_lower_bound
 from .burning import Schedule, _pad_certified, _run_rounds
@@ -40,6 +40,12 @@ class SchedulingInstance:
         if self.k < 1:
             raise ValueError("spread factor must be positive")
         self.sources = tuple(srcs)
+
+
+_TABLE_BYTES_PER_VISIT = 16
+"""``schedule_sources`` builds the mask of every radius up front when the
+table takes at most this many bytes per vertex its BFS lists hold, which
+is what those lists already take (two 8-byte entries per vertex)."""
 
 
 def _deadline(time_budget: float | None) -> float | None:
@@ -291,11 +297,20 @@ def schedule_sources(
 
     One search per source, by the package's shared ``graph._bfs`` cut at
     rounds - 1 hops, lists the vertices it reaches in visit order with
-    their hop counts; those lists give the pairwise distances and the
-    balls.  ``ball(i, d)`` (the vertices within d hops of the i-th source)
-    and ``suffix(i, d)`` (the union of those balls over sources i onwards)
-    are bitmasks built only for the (i, d) the search asks for, a ball
-    mostly from the one a radius larger, less that one's outer BFS layer.
+    their hop counts; its last hop count is the source's eccentricity,
+    past which its ball grows no more.  ``ball(i, d)`` (the vertices within
+    d hops of the i-th source) and ``suffix(i, d)`` (the union of those
+    balls over sources i onwards) are bitmasks, their radius clamped to
+    that eccentricity (for ``suffix``, the largest among the sources it
+    unions), so a round budget far past every eccentricity adds no mask.
+    One rule, read off the searches, picks how the balls are built.  When the
+    masks of every radius of every source take no more bytes than the BFS
+    lists already hold (``_TABLE_BYTES_PER_VISIT`` per vertex listed), one
+    walk over each list sets bits in a byte buffer and reads the masks of
+    all radii at its hop boundaries, and fills the pairwise distances as it
+    passes each source.  Otherwise (a long path, a large grid) the walk takes
+    only the distances, and a ball is built on first use, mostly from the
+    one a radius larger, less that one's outer BFS layer.
     The search carries ``covered``, the union of ``ball(i, rounds - r)``
     over the assigned (source, round) pairs.  After placing source i, with
     ``free`` the earliest round with spare capacity, the branch lives only
@@ -314,6 +329,9 @@ def schedule_sources(
 
     Raises UndeterminedError when ``time_budget`` (seconds) runs out before
     the search settles, and ValueError before any work if it is < 0 or NaN.
+    The clock is read at every search node and also in the set-up: at each
+    BFS level, at each hop boundary of the walk, and at each ball built on
+    first use.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:
@@ -323,45 +341,96 @@ def schedule_sources(
     if rounds < 1:
         raise ValueError("round budget must be positive")
     deadline = _deadline(time_budget)
-    n = inst.graph.n
+    g = inst.graph
+    n = g.n
     k = inst.k
     full = (1 << n) - 1
 
-    # each source's one BFS: the vertices it reaches nearest first, their
-    # hop counts, and gap[j][i], the hops between sources j and i (rounds
-    # when farther, a gap no two rounds in 1..rounds span)
-    order, hops = zip(*(_bfs(inst.graph, [s], rounds - 1) for s in srcs))
-    gap = [[at.get(t, rounds) for t in srcs] for at in map(dict, map(zip, order, hops))]
+    def tick() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise UndeterminedError("time budget exhausted")
 
-    # masks are built on first use: a table of every radius would take
-    # |S|*rounds*n bits up front, while a search builds only those it asks for
-    built: list[dict[int, int]] = [{} for _ in srcs]
+    # each source's one BFS, cut at rounds - 1 hops: the vertices it reaches
+    # nearest first and their hop counts, the last of which, ecc[i], is the
+    # radius past which the i-th source's ball grows no more
+    found = [_bfs(g, [s], rounds - 1, each_level=None if deadline is None else tick)
+             for s in srcs]
+    ecc = [hop[-1] for _, hop in found]
+    # gap[i][j] = the hops between sources i and j (rounds when farther, a gap
+    # no two rounds in 1..rounds span), filled through slot[v] = 1 + the
+    # index of source v, 0 for any other vertex
+    gap = [[rounds] * len(srcs) for _ in srcs]
+    slot = bytearray(n)
+    for j, s in enumerate(srcs):
+        slot[s] = j + 1
+    size = (n + 7) // 8
+    visits = sum(len(at) for at, _ in found)
 
-    def bits(vertices: list[int]) -> int:
-        # set bits in a byte buffer: OR-ing one-bit ints in one by one
-        # would copy the whole mask per vertex
-        buf = bytearray((n + 7) // 8)
-        for v in vertices:
-            buf[v >> 3] |= 1 << (v & 7)
-        return int.from_bytes(buf, "little")
+    if (sum(ecc) + len(srcs)) * size <= _TABLE_BYTES_PER_VISIT * visits:
+        # the masks of every radius are no bigger than the BFS lists, so one
+        # walk builds them all: table[i][d] = the vertices within d hops of
+        # the i-th source, read off the buffer at each hop boundary
+        table: list[list[int]] = []
+        for (at, hop), row in zip(found, gap):
+            buf = bytearray(size)
+            masks: list[int] = []
+            level = 0
+            for v, d in zip(at, hop):
+                if d != level:  # v opens hop d: the radius-(d - 1) ball is whole
+                    masks.append(int.from_bytes(buf, "little"))
+                    level = d
+                    tick()
+                buf[v >> 3] |= 1 << (v & 7)
+                if slot[v]:
+                    row[slot[v] - 1] = d
+            masks.append(int.from_bytes(buf, "little"))
+            table.append(masks)
+        del found
 
-    def ball(i: int, d: int) -> int:
-        row = built[i]
-        mask = row.get(d)
-        if mask is None:
-            # the search asks for each source's radii largest first, so
-            # ball(i, d + 1) is mostly built: drop its outer BFS layer
-            hop, at = hops[i], order[i]
-            cut = bisect_right(hop, d)
-            if d + 1 in row:
-                mask = row[d + 1] ^ bits(at[cut: bisect_right(hop, d + 1, cut)])
-            else:
-                mask = bits(at[:cut])
-            row[d] = mask
-        return mask
+        def ball(i: int, d: int) -> int:
+            masks = table[i]
+            return masks[d] if d < len(masks) else masks[-1]
+    else:
+        for (at, hop), row in zip(found, gap):
+            for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
+                row[slot[v] - 1] = d
+        built: list[dict[int, int]] = [{} for _ in srcs]
+
+        def bits(vertices: list[int]) -> int:
+            # set bits in a byte buffer: OR-ing one-bit ints in one by one
+            # would copy the whole mask per vertex
+            buf = bytearray(size)
+            for v in vertices:
+                buf[v >> 3] |= 1 << (v & 7)
+            return int.from_bytes(buf, "little")
+
+        def ball(i: int, d: int) -> int:
+            d = min(d, ecc[i])
+            row = built[i]
+            mask = row.get(d)
+            if mask is None:
+                tick()
+                # the search asks for each source's radii largest first, so
+                # ball(i, d + 1) is mostly built: drop its outer BFS layer
+                at, hop = found[i]
+                cut = bisect_right(hop, d)
+                if d + 1 in row:
+                    mask = row[d + 1] ^ bits(at[cut: bisect_right(hop, d + 1, cut)])
+                else:
+                    mask = bits(at[:cut])
+                row[d] = mask
+            return mask
+
+    # reach[i] = the largest eccentricity among sources i onwards
+    reach = [*accumulate(reversed(ecc), max)][::-1] + [0]
 
     @cache
     def suffix(i: int, d: int) -> int:
+        # the search asks for suffix(i, rounds - f) only with f at most one
+        # past the full rounds, of which there are at most |S|, so it caches
+        # few radii past reach[i], and those share the mask at reach[i]
+        if d > reach[i]:
+            return suffix(i, reach[i])
         return ball(i, d) | suffix(i + 1, d) if i < len(srcs) else 0
 
     if suffix(0, rounds - 1) != full:
@@ -403,7 +472,10 @@ def schedule_sources(
             capacity[r] = used + 1
             if place(i + 1, now):
                 return True
-            capacity[r] = used
+            if used:
+                capacity[r] = used
+            else:
+                del capacity[r]  # the dict holds only rounds in use
             when.pop()
         return False
 

@@ -17,7 +17,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import eq, lt
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 MAX_VERTICES = 10**8
@@ -309,11 +309,14 @@ class DistanceTable:
 
 
 def _bfs(g: Graph, sources: Iterable[int], max_depth: int | None = None,
-         seen: list[bool] | None = None) -> tuple[list[int], list[int]]:
+         seen: list[bool] | None = None,
+         each_level: Callable[[], None] | None = None) -> tuple[list[int], list[int]]:
     """The one breadth-first search: the vertices within ``max_depth`` hops
     of the sources (every reachable one when None) in visit order, sources
     first at hop 0, with their hop counts.  ``seen`` is updated in place,
-    and a vertex already marked in it is neither listed nor crossed."""
+    and a vertex already marked in it is neither listed nor crossed.
+    ``each_level`` is called before each hop level is expanded, so a
+    caller can stop the search there by raising."""
     if seen is None:
         seen = [False] * g.n
     adj = g.adj
@@ -323,9 +326,14 @@ def _bfs(g: Graph, sources: Iterable[int], max_depth: int | None = None,
             seen[s] = True
             order.append(s)
     hops = [0] * len(order)
+    level = 0  # the hop count of the next level to expand
     for x, d in zip(order, hops):  # both lists grow while the loop reads them
-        if d == max_depth:
-            break
+        if d == level:  # x is the first vertex of its level
+            if d == max_depth:
+                break
+            if each_level is not None:
+                each_level()
+            level += 1
         d += 1
         for u in adj[x]:
             if not seen[u]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .burning import Schedule, _pad_certified
-from .graph import path_graph
+from .graph import _check_vertex_count, path_graph
 
 
 def path_burning_number(n: int, k: int) -> int:
@@ -54,8 +54,10 @@ def optimal_path_schedule(n: int, k: int) -> Schedule:
     ceil(n/k) vertices, so each burns within b rounds); their segment
     sources run in parallel, one ignition per subpath per round.  The
     result is padded and certified, and RuntimeError is raised off round b.
+    Raises ValueError before any batch is made if n is above MAX_VERTICES.
     """
     b = path_burning_number(n, k)
+    _check_vertex_count(n)  # before b batches are made for a path too large to build
     size, rem = divmod(n, k)
     batches: list[list[int]] = [[] for _ in range(b)]
     start = 0

@@ -335,33 +335,45 @@ def build_sat_instance(cnf: Cnf3) -> SatInstance:
     if not cnf.clauses:
         raise ReductionError("formula must have at least one clause")
     n = cnf.n_vars
-    literal_vertex: dict[int, int] = {}
-    for i in range(1, n + 1):
-        literal_vertex[i] = 2 * (i - 1)
-        literal_vertex[-i] = 2 * (i - 1) + 1
+    lits = [lit for i in range(1, n + 1) for lit in (i, -i)]
+    literal_vertex = {lit: v for v, lit in enumerate(lits)}
+    # the literals of variable i each get a top and a bottom path of 2(n - i)
+    # vertices, all top paths first, in literal order; clause vertices follow
+    length = {lit: 2 * (n - abs(lit)) for lit in lits}
+    start: dict[tuple[str, int], int] = {}
     next_id = 2 * n
-    edges: list[tuple[int, int]] = []
-    top_end: dict[int, int] = {}
     for kind in ("top", "bottom"):
-        for i in range(1, n + 1):
-            for lit in (i, -i):
-                prev = literal_vertex[lit]
-                for _ in range(2 * (n - i)):
-                    edges.append((prev, next_id))
-                    prev = next_id
-                    next_id += 1
+        for lit in lits:
+            start[kind, lit] = next_id
+            next_id += length[lit]
+    top_end = {lit: start["top", lit] + length[lit] - 1 if length[lit] else literal_vertex[lit]
+               for lit in lits}
+    clause_vertex = tuple(range(next_id, next_id + len(cnf.clauses)))
+    attached: dict[int, list[int]] = {lit: [] for lit in lits}  # clause vertices at a top end
+    for cid, clause in zip(clause_vertex, cnf.clauses):
+        for lit in set(clause):
+            attached[lit].append(cid)
+    # pairs (u, v) with u < v in ascending order, so the builder takes its
+    # ordered path: each literal vertex to its two paths' first vertices (or
+    # to its clauses when they are empty), then each path vertex to the next
+    # and each top path's last vertex to its clauses
+    edges: list[tuple[int, int]] = []
+    for lit in lits:
+        u = literal_vertex[lit]
+        if length[lit]:
+            edges += [(u, start["top", lit]), (u, start["bottom", lit])]
+        else:
+            edges += [(u, cid) for cid in attached[lit]]
+    for kind in ("top", "bottom"):
+        for lit in lits:
+            if length[lit]:
+                first, last = start[kind, lit], start[kind, lit] + length[lit] - 1
+                edges += [(p, p + 1) for p in range(first, last)]
                 if kind == "top":
-                    top_end[lit] = prev
-    clause_vertex: list[int] = []
-    for clause in cnf.clauses:
-        cid = next_id
-        next_id += 1
-        clause_vertex.append(cid)
-        for lit in sorted(set(clause), key=lambda l: (abs(l), l < 0)):
-            edges.append((top_end[lit], cid))
-    graph = graph_from_edges(next_id, edges)
+                    edges += [(last, cid) for cid in attached[lit]]
+    graph = graph_from_edges(next_id + len(clause_vertex), edges)
     inst = SchedulingInstance(graph, tuple(range(2 * n)), k=1)
-    return SatInstance(inst, literal_vertex, tuple(clause_vertex), cnf, top_end)
+    return SatInstance(inst, literal_vertex, clause_vertex, cnf, top_end)
 
 
 def schedule_to_assignment(si: SatInstance, ordering: dict[int, int]) -> dict[int, bool]:

@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from burnkit import (
     approx,
     build_sat_instance,
     complete_graph,
+    cycle_graph,
     exact,
     exact_burning_number,
     graph_from_edges,
@@ -171,6 +173,34 @@ def test_exact_budget_expires_while_growing_balls(monkeypatch):
     assert clock["now"] == 11.0
 
 
+def test_schedule_sources_budget_expires_inside_the_first_bfs(monkeypatch):
+    # a patched clock stands still until the first source's BFS starts, then
+    # ticks once per read; the BFS reads it once per hop level, so the budget
+    # runs out on the eleventh level of the first search, of 50
+    clock = {"now": 0.0, "ticking": False}
+    searches = []
+    bfs = exact._bfs
+
+    def monotonic():
+        if clock["ticking"]:
+            clock["now"] += 1.0
+        return clock["now"]
+
+    def watched(*args, **kwargs):
+        clock["ticking"] = True
+        searches.append(False)
+        found = bfs(*args, **kwargs)
+        searches[-1] = True
+        return found
+
+    monkeypatch.setattr(exact.time, "monotonic", monotonic)
+    monkeypatch.setattr(exact, "_bfs", watched)
+    with pytest.raises(UndeterminedError):
+        schedule_sources(SchedulingInstance(path_graph(51), (0, 50), 1), 60, time_budget=10.0)
+    assert searches == [False]
+    assert clock["now"] == 11.0
+
+
 def test_schedule_sources_respects_time_budget():
     cnf = Cnf3(5, ((1, 2, 3), (-1, 4, 5), (-2, -3, -4), (1, -5, 3), (2, -4, 5)))
     inst = build_sat_instance(cnf).inst
@@ -270,6 +300,63 @@ def test_schedule_sources_memory_on_a_long_path():
     finally:
         tracemalloc.stop()
     assert peak <= 6.6e6, peak
+
+
+def test_schedule_sources_memory_with_rounds_past_every_eccentricity():
+    # every ball on the 7-cycle is whole at radius 3, so a round budget of
+    # 10^5 adds no mask and no entry per round tried; keeping one per round
+    # peaked at 18.7 MB.  The search still tries every round for the first
+    # source before it answers infeasible
+    inst = SchedulingInstance(cycle_graph(7), (0, 1), 1)
+    tracemalloc.start()
+    try:
+        assert schedule_sources(inst, 10**5) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
+
+
+def test_schedule_sources_mask_paths_agree(monkeypatch):
+    # the masks are built in one walk over each BFS when the table is small,
+    # else on demand (the only path that bisects the BFS lists); forcing each
+    # side gives the same witnesses, round budgets past the eccentricities
+    # included
+    bisects = []
+
+    def counted(*args):
+        bisects.append(args)
+        return bisect_right(*args)
+
+    monkeypatch.setattr(exact, "bisect_right", counted)
+    rng = random.Random(71)
+    cases = []
+    for n_vars in (3, 4, 5):
+        for _ in range(8):
+            clauses = tuple(
+                tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n_vars + 1), 3))
+                for _ in range(round(4.26 * n_vars))
+            )
+            cases.append((build_sat_instance(Cnf3(n_vars, clauses)).inst, 2 * n_vars))
+    for _ in range(60):
+        n = rng.randint(6, 14)
+        if rng.random() < 0.25:
+            g = random_graph(rng, n, 0.2)
+        else:
+            g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n // 2))
+        sources = tuple(rng.sample(range(n), rng.randint(1, 6)))
+        cases.append((SchedulingInstance(g, sources, rng.choice([1, 2])), rng.randint(1, 2 * n)))
+    verdicts = set()
+    for inst, rounds in cases:
+        got = {}
+        for side, budget in (("eager", 10**9), ("lazy", 0)):
+            monkeypatch.setattr(exact, "_TABLE_BYTES_PER_VISIT", budget)
+            bisects.clear()
+            got[side] = schedule_sources(inst, rounds)
+            assert bool(bisects) == (side == "lazy")
+        assert got["eager"] == got["lazy"], (inst.graph.adj, inst.sources, inst.k, rounds)
+        verdicts.add(got["eager"] is None)
+    assert verdicts == {True, False}
 
 
 def test_exact_raises_on_a_witness_the_round_engine_rejects(monkeypatch):

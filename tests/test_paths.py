@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 
 from burnkit import (
@@ -81,3 +84,17 @@ def test_path_schedule_with_k_past_n_builds_only_the_nonempty_subpaths():
     # subpaths past the n-th are empty, so k = 10**12 costs what k = n does
     huge = optimal_path_schedule(5, 10**12)
     assert huge.rounds == optimal_path_schedule(5, 5).rounds == [[0, 1, 2, 3, 4]]
+
+
+def test_path_schedule_rejects_a_huge_n_before_any_batch():
+    # 10^12 vertices would take 10^6 batches of segment sources first
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="exceeds the vertex bound"):
+            optimal_path_schedule(10**12, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 100_000, peak

@@ -392,6 +392,54 @@ def test_sat_structural_invariants_random():
             assert set(g.adj[cid]) == {si.top_end[lit] for lit in clause}
 
 
+
+def reference_sat_edges(n, clauses):
+    """The gadget's edges as the construction reads: each literal's top path,
+    then its bottom path, then every clause joined to its literals' top ends."""
+    next_id, edges, top_end = 2 * n, [], {}
+    for kind in ("top", "bottom"):
+        for i in range(1, n + 1):
+            for lit in (i, -i):
+                prev = 2 * (i - 1) + (lit < 0)
+                for _ in range(2 * (n - i)):
+                    edges.append((prev, next_id))
+                    prev, next_id = next_id, next_id + 1
+                if kind == "top":
+                    top_end[lit] = prev
+    for clause in clauses:
+        edges += [(top_end[lit], next_id) for lit in set(clause)]
+        next_id += 1
+    return next_id, edges
+
+
+def test_sat_gadget_hands_the_builder_ascending_pairs(monkeypatch):
+    # pairs (u, v) with u < v in ascending order take the builder's ordered
+    # path, which sorts no adjacency list; the graph is the construction's
+    import burnkit.graph as graph_module
+
+    handed = []
+    build = graph_module._build
+
+    def spy(n, ids, *args):
+        handed.append(list(ids))
+        return build(n, ids, *args)
+
+    rng = random.Random(22)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        lits = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
+        clauses = tuple(tuple(rng.choice(lits) for _ in range(3)) for _ in range(rng.randint(1, 4 * n)))
+        handed.clear()
+        monkeypatch.setattr(graph_module, "_build", spy)
+        g = build_sat_instance(Cnf3(n, clauses)).inst.graph
+        monkeypatch.undo()
+        [ids] = handed
+        pairs = list(zip(ids[::2], ids[1::2]))
+        assert all(u < v for u, v in pairs), clauses
+        assert pairs == sorted(set(pairs)), clauses
+        assert g.adj == graph_from_edges(*reference_sat_edges(n, clauses)).adj, clauses
+
+
 # --- DIMACS parsing ----------------------------------------------------------
 
 
