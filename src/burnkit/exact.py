@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations, compress
+from typing import Callable
 
 from .approx import UndeterminedError, _search_lower_bound
 from .burning import Schedule, _pad_certified, _run_rounds
@@ -42,10 +43,20 @@ class SchedulingInstance:
         self.sources = tuple(srcs)
 
 
+_BIT_VERTICES = 1024
+"""``schedule_sources`` builds every source's masks of every radius by a
+bit-parallel BFS on graphs of at most this many vertices, and from the
+lists of ``_bfs`` on larger ones.  Each level and each frontier bit cost
+a few big-int operations of n bits.  The bound is a measured crossover of
+whole calls (see CHANGES.md): below it the bit table beat the lists on
+SAT gadgets, random graphs and grids, and lost on long paths (by 10-40%
+from about 250 vertices on, where the levels are many and thin)."""
+
 _TABLE_BYTES_PER_VISIT = 16
-"""``schedule_sources`` builds the mask of every radius up front when the
-table takes at most this many bytes per vertex its BFS lists hold, which
-is what those lists already take (two 8-byte entries per vertex)."""
+"""Above ``_BIT_VERTICES``, ``schedule_sources`` builds the mask of every
+radius up front when the table takes at most this many bytes per vertex
+its BFS lists hold, which is what those lists already take (two 8-byte
+entries per vertex)."""
 
 
 def _deadline(time_budget: float | None) -> float | None:
@@ -247,7 +258,8 @@ def naive_oracle(g: Graph, k: int, rounds: int) -> bool:
 
 
 def ordering_feasible(
-    inst: SchedulingInstance, ordering: dict[int, int], rounds: int
+    inst: SchedulingInstance, ordering: dict[int, int], rounds: int,
+    each_round: Callable[[], None] | None = None,
 ) -> tuple[bool, str]:
     """Check a full round assignment: capacity, ignition order, coverage.
 
@@ -258,7 +270,8 @@ def ordering_feasible(
     when ignited, and every vertex must burn by the deadline.
     The reason names the first source found burnt at its ignition
     (earliest round, then the ordering's order within a round), else the
-    smallest vertex that burns late or never.
+    smallest vertex that burns late or never.  ``each_round`` is called
+    as each round of the loop starts, so a caller can stop it by raising.
     """
     if sorted(ordering) != list(inst.sources):
         return False, "ordering must assign exactly the instance sources"
@@ -271,7 +284,7 @@ def ordering_feasible(
         batches[r - 1].append(s)
         if len(batches[r - 1]) > inst.k:
             return False, f"round {r} ignites more than k={inst.k} sources"
-    burn, _, violations, _ = _run_rounds(inst.graph, inst.k, batches, "check")
+    burn, _, violations, _ = _run_rounds(inst.graph, inst.k, batches, "check", each_round)
     for v in violations:
         if v.reason == "already burnt at ignition":
             return False, f"source {v.vertex} is already burnt at round {v.round}"
@@ -295,22 +308,26 @@ def schedule_sources(
     and an optimistic completion bound that places every unassigned source
     at the earliest round with spare capacity.
 
-    One search per source, by the package's shared ``graph._bfs`` cut at
-    rounds - 1 hops, lists the vertices it reaches in visit order with
-    their hop counts; its last hop count is the source's eccentricity,
-    past which its ball grows no more.  ``ball(i, d)`` (the vertices within
-    d hops of the i-th source) and ``suffix(i, d)`` (the union of those
+    One breadth-first search per source, cut at rounds - 1 hops, gives the
+    source's distances to the other sources and its eccentricity, past
+    which its ball grows no more.  ``ball(i, d)`` (the vertices within d
+    hops of the i-th source) and ``suffix(i, d)`` (the union of those
     balls over sources i onwards) are bitmasks, their radius clamped to
     that eccentricity (for ``suffix``, the largest among the sources it
     unions), so a round budget far past every eccentricity adds no mask.
-    One rule, read off the searches, picks how the balls are built.  When the
-    masks of every radius of every source take no more bytes than the BFS
-    lists already hold (``_TABLE_BYTES_PER_VISIT`` per vertex listed), one
-    walk over each list sets bits in a byte buffer and reads the masks of
-    all radii at its hop boundaries, and fills the pairwise distances as it
-    passes each source.  Otherwise (a long path, a large grid) the walk takes
-    only the distances, and a ball is built on first use, mostly from the
-    one a radius larger, less that one's outer BFS layer.
+    How the balls are built depends on the graph.  On at most
+    ``_BIT_VERTICES`` vertices (a 12-variable SAT gadget at clause ratio
+    4.26 has 603) the search is bit-parallel: each vertex's neighbour
+    mask is built once, each level ORs in those of the frontier's bits,
+    and its masks are the balls of every radius, with no list per vertex.
+    On larger graphs the search is the package's shared ``graph._bfs``,
+    which lists the vertices it reaches in visit order with their hop
+    counts.  When the masks of every radius of every source take no more
+    bytes than those lists already hold (``_TABLE_BYTES_PER_VISIT`` per
+    vertex listed), one walk over each list sets bits in a byte buffer
+    and reads the masks of all radii at its hop boundaries.  Otherwise (a
+    long path, a large grid) a ball is built on first use, mostly from
+    the one a radius larger, less that one's outer BFS layer.
     The search carries ``covered``, the union of ``ball(i, rounds - r)``
     over the assigned (source, round) pairs.  After placing source i, with
     ``free`` the earliest round with spare capacity, the branch lives only
@@ -329,9 +346,9 @@ def schedule_sources(
 
     Raises UndeterminedError when ``time_budget`` (seconds) runs out before
     the search settles, and ValueError before any work if it is < 0 or NaN.
-    The clock is read at every search node and also in the set-up: at each
-    BFS level, at each hop boundary of the walk, and at each ball built on
-    first use.
+    The clock is read at every search node, in the set-up (at each BFS
+    level, at each hop boundary of the walk, and at each ball built on
+    first use) and at each round of the certifying pass.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:
@@ -350,60 +367,96 @@ def schedule_sources(
         if deadline is not None and time.monotonic() > deadline:
             raise UndeterminedError("time budget exhausted")
 
-    # each source's one BFS, cut at rounds - 1 hops: the vertices it reaches
-    # nearest first and their hop counts, the last of which, ecc[i], is the
-    # radius past which the i-th source's ball grows no more
-    found = [_bfs(g, [s], rounds - 1, each_level=None if deadline is None else tick)
-             for s in srcs]
-    ecc = [hop[-1] for _, hop in found]
     # gap[i][j] = the hops between sources i and j (rounds when farther, a gap
     # no two rounds in 1..rounds span), filled through slot[v] = 1 + the
-    # index of source v, 0 for any other vertex
+    # index of source v, 0 for any other vertex; ecc[i] = the radius past
+    # which the i-th source's ball grows no more, its BFS cut at rounds - 1
+    # hops; table[i][d] = the vertices within d hops of the i-th source,
+    # when the masks of every radius are built up front
     gap = [[rounds] * len(srcs) for _ in srcs]
     slot = bytearray(n)
     for j, s in enumerate(srcs):
         slot[s] = j + 1
-    size = (n + 7) // 8
-    visits = sum(len(at) for at, _ in found)
+    table: list[list[int]] | None = []
 
-    if (sum(ecc) + len(srcs)) * size <= _TABLE_BYTES_PER_VISIT * visits:
-        # the masks of every radius are no bigger than the BFS lists, so one
-        # walk builds them all: table[i][d] = the vertices within d hops of
-        # the i-th source, read off the buffer at each hop boundary
-        table: list[list[int]] = []
-        for (at, hop), row in zip(found, gap):
-            buf = bytearray(size)
-            masks: list[int] = []
-            level = 0
-            for v, d in zip(at, hop):
-                if d != level:  # v opens hop d: the radius-(d - 1) ball is whole
-                    masks.append(int.from_bytes(buf, "little"))
-                    level = d
-                    tick()
-                buf[v >> 3] |= 1 << (v & 7)
-                if slot[v]:
+    if n <= _BIT_VERTICES:
+        # one bit-parallel BFS per source: each level ORs in the neighbour
+        # masks of the frontier's bits, and each level's mask is a table entry
+        nbr = []  # nbr[v] = the mask of v's neighbours
+        for a in g.adj:
+            mask = 0
+            for u in a:
+                mask |= 1 << u
+            nbr.append(mask)
+        at_source = sum(map((1).__lshift__, srcs))
+        for s, row in zip(srcs, gap):
+            reached = frontier = 1 << s
+            masks = [reached]
+            for d in range(1, rounds):
+                tick()
+                grown = reached
+                while frontier:  # take the frontier's bits highest first
+                    v = frontier.bit_length() - 1
+                    grown |= nbr[v]
+                    frontier ^= 1 << v
+                frontier = grown ^ reached
+                if not frontier:
+                    break
+                reached = grown
+                masks.append(reached)
+                hit = frontier & at_source  # the sources d hops away
+                while hit:
+                    v = hit.bit_length() - 1
                     row[slot[v] - 1] = d
-            masks.append(int.from_bytes(buf, "little"))
+                    hit ^= 1 << v
             table.append(masks)
-        del found
+        ecc = [len(masks) - 1 for masks in table]
+    else:
+        # each source's one _bfs: the vertices it reaches nearest first and
+        # their hop counts, the last of which is ecc[i]
+        found = [_bfs(g, [s], rounds - 1, each_level=None if deadline is None else tick)
+                 for s in srcs]
+        ecc = [hop[-1] for _, hop in found]
+        size = (n + 7) // 8
+        visits = sum(len(at) for at, _ in found)
+        if (sum(ecc) + len(srcs)) * size <= _TABLE_BYTES_PER_VISIT * visits:
+            # the masks of every radius are no bigger than the BFS lists, so
+            # one walk builds them all, read off a buffer at each hop boundary
+            for (at, hop), row in zip(found, gap):
+                buf = bytearray(size)
+                masks = []
+                level = 0
+                for v, d in zip(at, hop):
+                    if d != level:  # v opens hop d: the radius-(d - 1) ball is whole
+                        masks.append(int.from_bytes(buf, "little"))
+                        level = d
+                        tick()
+                    buf[v >> 3] |= 1 << (v & 7)
+                    if slot[v]:
+                        row[slot[v] - 1] = d
+                masks.append(int.from_bytes(buf, "little"))
+                table.append(masks)
+            del found
+        else:
+            table = None
+            for (at, hop), row in zip(found, gap):
+                for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
+                    row[slot[v] - 1] = d
+            built: list[dict[int, int]] = [{} for _ in srcs]
 
+            def bits(vertices: list[int]) -> int:
+                # set bits in a byte buffer: OR-ing one-bit ints in one by one
+                # would copy the whole mask per vertex
+                buf = bytearray(size)
+                for v in vertices:
+                    buf[v >> 3] |= 1 << (v & 7)
+                return int.from_bytes(buf, "little")
+
+    if table is not None:
         def ball(i: int, d: int) -> int:
             masks = table[i]
             return masks[d] if d < len(masks) else masks[-1]
     else:
-        for (at, hop), row in zip(found, gap):
-            for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
-                row[slot[v] - 1] = d
-        built: list[dict[int, int]] = [{} for _ in srcs]
-
-        def bits(vertices: list[int]) -> int:
-            # set bits in a byte buffer: OR-ing one-bit ints in one by one
-            # would copy the whole mask per vertex
-            buf = bytearray(size)
-            for v in vertices:
-                buf[v >> 3] |= 1 << (v & 7)
-            return int.from_bytes(buf, "little")
-
         def ball(i: int, d: int) -> int:
             d = min(d, ecc[i])
             row = built[i]
@@ -482,7 +535,7 @@ def schedule_sources(
     if not place(0, 0):
         return None
     witness = dict(zip(srcs, when))
-    ok, why = ordering_feasible(inst, witness, rounds)
+    ok, why = ordering_feasible(inst, witness, rounds, None if deadline is None else tick)
     if not ok:
         raise RuntimeError(f"search returned an ordering the round engine rejects: {why}")
     return witness

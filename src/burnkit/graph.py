@@ -6,7 +6,10 @@ algorithm in this package reads adjacency lists without mutating them,
 so sharing a graph across threads is safe.
 
 Every plain distance query in the package (``bfs_distances``, components,
-the fixed-source scheduler's balls) runs on the one search ``_bfs``.
+the fixed-source scheduler's balls on large graphs) runs on the one search
+``_bfs``.  On graphs of at most ``exact._BIT_VERTICES`` vertices the
+scheduler runs a bit-parallel search of its own, whose levels are its
+ball masks.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import gc
 import json
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import eq, lt
+from itertools import chain, compress, islice
+from operator import eq, gt, lt
 from typing import Callable, Iterable, Iterator
 
 
@@ -85,9 +88,11 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
     loop-checked in bulk, then sorted, and duplicates found as repeated
     neighbors.  Only if a check fails are the edges walked in input order,
     to raise _BadEdge for the first bad one; ``out_of_range`` formats an
-    id's range error.  Nothing of size n is allocated before the range and
-    self-loop checks pass.  Then the ids are swapped in place for the
-    entries of ``vid``, the table ``list(range(n))``, unless the caller
+    id's range error.  When duplicates are the only fault, their keys are
+    read off the sorted lists first, so the walk's seen set holds those
+    few keys, not one per edge.  Nothing of size n is allocated before the
+    range and self-loop checks pass.  Then the ids are swapped in place for
+    the entries of ``vid``, the table ``list(range(n))``, unless the caller
     already read them through it (and so already bounded them to 0..n-1).
     The appends stay a Python loop: on CPython 3.11 its specialized
     ``list.append`` beats ``map(list.append, ...)`` at every size measured.
@@ -97,6 +102,7 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
         return islice(ids, start, None, 2), islice(ids, start + 1, None, 2)
 
     ordered = all(map(lt, zip(*halves()), zip(*halves(2)))) and all(map(lt, *halves()))
+    dups = None  # the duplicated keys, once known
     in_range = vid is not None or not ids or (min(ids) >= 0 and max(ids) < n)
     if in_range and (ordered or not any(map(eq, *halves()))):
         enabled = gc.isenabled()
@@ -116,6 +122,10 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
                 a.sort()
             if sum(map(len, map(set, adj))) == len(ids):
                 return Graph(n, adj)
+            # a duplicate is a repeated neighbour in its smaller end's sorted list
+            short = compress(vid, map(gt, map(len, adj), map(len, map(set, adj))))
+            dups = {(u, v) for u in short
+                    for v, w in zip(adj[u], islice(adj[u], 1, None)) if v == w and u < v}
         finally:
             if enabled:
                 gc.enable()
@@ -127,6 +137,8 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
         if u == v:
             raise _BadEdge(f"self-loop at vertex {u}", i)
         key = (u, v) if u < v else (v, u)
+        if dups is not None and key not in dups:
+            continue  # only the duplicated keys need a seen set
         if key in seen:
             raise _BadEdge(f"duplicate edge ({key[0]},{key[1]})", i)
         seen.add(key)
@@ -149,8 +161,14 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Raises ValueError if n is negative or above MAX_VERTICES.
     """
+    _check_vertex_count(n)  # before the edges are read
+    return _graph_from_ids(n, [x for u, v in edges for x in (u, v)])
+
+
+def _graph_from_ids(n: int, ids: list[int]) -> Graph:
+    """graph_from_edges for a flat id list ``[u0, v0, u1, v1, ...]``, which
+    _build checks: ValueError for a bad vertex count or the first bad edge."""
     _check_vertex_count(n)
-    ids = [x for u, v in edges for x in (u, v)]
     try:
         return _build(n, ids, _EDGE_OUT_OF_RANGE)
     except _BadEdge as e:

@@ -23,11 +23,12 @@ literals burning at odd rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import inf
 
 from .burning import Schedule, _pad_certified, simulate
 from .exact import SchedulingInstance, ordering_feasible
-from .graph import MAX_VERTICES, Graph, bfs_distances, graph_from_edges
+from .graph import MAX_VERTICES, Graph, _graph_from_ids, bfs_distances, graph_from_edges
 from .paths import segment_sources
 
 
@@ -354,24 +355,27 @@ def build_sat_instance(cnf: Cnf3) -> SatInstance:
         for lit in set(clause):
             attached[lit].append(cid)
     # pairs (u, v) with u < v in ascending order, so the builder takes its
-    # ordered path: each literal vertex to its two paths' first vertices (or
-    # to its clauses when they are empty), then each path vertex to the next
-    # and each top path's last vertex to its clauses
-    edges: list[tuple[int, int]] = []
+    # ordered path, as one flat id list: each literal vertex to its two
+    # paths' first vertices (or to its clauses when they are empty), then
+    # each path vertex to the next and each top path's last vertex to its
+    # clauses
+    ids: list[int] = []
     for lit in lits:
         u = literal_vertex[lit]
         if length[lit]:
-            edges += [(u, start["top", lit]), (u, start["bottom", lit])]
+            ids += (u, start["top", lit], u, start["bottom", lit])
         else:
-            edges += [(u, cid) for cid in attached[lit]]
+            for cid in attached[lit]:
+                ids += (u, cid)
     for kind in ("top", "bottom"):
         for lit in lits:
             if length[lit]:
                 first, last = start[kind, lit], start[kind, lit] + length[lit] - 1
-                edges += [(p, p + 1) for p in range(first, last)]
+                ids += chain.from_iterable(zip(range(first, last), range(first + 1, last + 1)))
                 if kind == "top":
-                    edges += [(last, cid) for cid in attached[lit]]
-    graph = graph_from_edges(next_id + len(clause_vertex), edges)
+                    for cid in attached[lit]:
+                        ids += (last, cid)
+    graph = _graph_from_ids(next_id + len(clause_vertex), ids)
     inst = SchedulingInstance(graph, tuple(range(2 * n)), k=1)
     return SatInstance(inst, literal_vertex, clause_vertex, cnf, top_end)
 

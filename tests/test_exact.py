@@ -195,10 +195,59 @@ def test_schedule_sources_budget_expires_inside_the_first_bfs(monkeypatch):
 
     monkeypatch.setattr(exact.time, "monotonic", monotonic)
     monkeypatch.setattr(exact, "_bfs", watched)
+    monkeypatch.setattr(exact, "_BIT_VERTICES", 0)  # the path of the BFS lists
     with pytest.raises(UndeterminedError):
         schedule_sources(SchedulingInstance(path_graph(51), (0, 50), 1), 60, time_budget=10.0)
     assert searches == [False]
     assert clock["now"] == 11.0
+
+
+def test_schedule_sources_budget_expires_inside_the_first_bit_parallel_bfs(monkeypatch):
+    # a patched clock ticks once per read from the start: the deadline is
+    # read at 1, then the bit-parallel BFS reads it once per hop level, so
+    # the budget runs out on the eleventh level of the first source, of 50
+    clock = {"now": 0.0}
+    searches = []
+
+    def monotonic():
+        clock["now"] += 1.0
+        return clock["now"]
+
+    monkeypatch.setattr(exact.time, "monotonic", monotonic)
+    monkeypatch.setattr(exact, "_bfs", lambda *args, **kwargs: searches.append(args))
+    with pytest.raises(UndeterminedError):
+        schedule_sources(SchedulingInstance(path_graph(51), (0, 50), 1), 60, time_budget=10.0)
+    assert searches == []  # the lists' BFS never ran
+    assert clock["now"] == 12.0
+
+
+def test_schedule_sources_budget_expires_inside_the_certifying_pass(monkeypatch):
+    # a patched clock stands still until the witness is certified, then
+    # ticks once per read; the round loop reads it as each of its three
+    # rounds starts, so the budget runs out on the second round
+    clock = {"now": 0.0, "ticking": False}
+    passes = []
+    certify = exact.ordering_feasible
+
+    def monotonic():
+        if clock["ticking"]:
+            clock["now"] += 1.0
+        return clock["now"]
+
+    def watched(*args):
+        clock["ticking"] = True
+        passes.append(False)
+        verdict = certify(*args)
+        passes[-1] = True
+        return verdict
+
+    monkeypatch.setattr(exact.time, "monotonic", monotonic)
+    monkeypatch.setattr(exact, "ordering_feasible", watched)
+    inst = SchedulingInstance(path_graph(5), (0, 4), 1)
+    with pytest.raises(UndeterminedError):
+        schedule_sources(inst, 3, time_budget=1.0)
+    assert passes == [False]
+    assert clock["now"] == 2.0
 
 
 def test_schedule_sources_respects_time_budget():
@@ -318,10 +367,12 @@ def test_schedule_sources_memory_with_rounds_past_every_eccentricity():
 
 
 def test_schedule_sources_mask_paths_agree(monkeypatch):
-    # the masks are built in one walk over each BFS when the table is small,
-    # else on demand (the only path that bisects the BFS lists); forcing each
-    # side gives the same witnesses, round budgets past the eccentricities
-    # included
+    # the masks are built by a bit-parallel BFS on graphs up to a vertex
+    # bound; above it, in one walk over each BFS when the table is small,
+    # else on demand (the only path that bisects the BFS lists); forcing
+    # each side gives the same witnesses, round budgets past the
+    # eccentricities, a budget of one round, disconnected graphs and
+    # sources that cannot reach each other included
     bisects = []
 
     def counted(*args):
@@ -346,17 +397,31 @@ def test_schedule_sources_mask_paths_agree(monkeypatch):
             g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n // 2))
         sources = tuple(rng.sample(range(n), rng.randint(1, 6)))
         cases.append((SchedulingInstance(g, sources, rng.choice([1, 2])), rng.randint(1, 2 * n)))
+    # two paths and an isolated vertex, one source in each part: no source
+    # reaches another, so any two may take adjacent rounds
+    apart = graph_from_edges(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    for sources, k, rounds in [((1, 4, 7), 1, 3), ((1, 4, 7), 1, 4), ((0, 3, 7), 2, 4),
+                               ((1, 4, 7), 3, 2), ((0, 3, 6, 7), 1, 5)]:
+        cases.append((SchedulingInstance(apart, sources, k), rounds))
+    for g, sources, k in [(complete_graph(4), (0, 1, 2, 3), 4), (complete_graph(4), (0,), 1),
+                          (graph_from_edges(3, []), (0, 1, 2), 3), (path_graph(3), (0, 2), 2),
+                          (apart, (0, 1, 2, 3, 4, 5, 6, 7), 8)]:
+        cases.append((SchedulingInstance(g, sources, k), 1))
     verdicts = set()
     for inst, rounds in cases:
         got = {}
-        for side, budget in (("eager", 10**9), ("lazy", 0)):
+        for side, bound, budget in (("bits", 10**9, 0), ("eager", 0, 10**9), ("lazy", 0, 0)):
+            monkeypatch.setattr(exact, "_BIT_VERTICES", bound)
             monkeypatch.setattr(exact, "_TABLE_BYTES_PER_VISIT", budget)
             bisects.clear()
             got[side] = schedule_sources(inst, rounds)
             assert bool(bisects) == (side == "lazy")
-        assert got["eager"] == got["lazy"], (inst.graph.adj, inst.sources, inst.k, rounds)
+        assert got["bits"] == got["eager"] == got["lazy"], (
+            inst.graph.adj, inst.sources, inst.k, rounds)
         verdicts.add(got["eager"] is None)
     assert verdicts == {True, False}
+    # sources in different parts take adjacent rounds, as no gap binds them
+    assert schedule_sources(SchedulingInstance(apart, (1, 4, 7), 1), 3) == {1: 2, 4: 1, 7: 3}
 
 
 def test_exact_raises_on_a_witness_the_round_engine_rejects(monkeypatch):

@@ -236,6 +236,19 @@ def test_error_on_the_last_line_peaks_no_higher_than_the_clean_parse():
     assert peak <= clean_peak + (1 << 20)
 
 
+def test_duplicate_edge_peaks_little_above_the_clean_parse():
+    # a duplicate edge once sent every pair into a seen set of tuples, which
+    # peaked at 2.4 times the clean parse here; the builder now reads the
+    # duplicated keys off its sorted lists and tracks only those
+    text = serialize_graph(grid_graph(300, 300))
+    dup = text.replace("90000 179400\n", "90000 179401\n", 1) + text[text.rindex("\n", 0, -1) + 1:]
+    g, clean_peak = _traced_parse(text)
+    error, peak = _traced_parse(dup)
+    assert g.m == 179400
+    assert str(error) == "line 179402: duplicate edge (89998,89999)"
+    assert peak <= 1.5 * clean_peak, (peak, clean_peak)
+
+
 def test_serialize_canonical():
     g = parse_graph("4 3\n2 3\n1 0\n1 2")
     assert serialize_graph(g) == "4 3\n0 1\n1 2\n2 3\n"
