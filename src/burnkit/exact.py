@@ -43,20 +43,31 @@ class SchedulingInstance:
         self.sources = tuple(srcs)
 
 
-_BIT_VERTICES = 1024
-"""``schedule_sources`` builds every source's masks of every radius by a
-bit-parallel BFS on graphs of at most this many vertices, and from the
-lists of ``_bfs`` on larger ones.  Each level and each frontier bit cost
-a few big-int operations of n bits.  The bound is a measured crossover of
-whole calls (see CHANGES.md): below it the bit table beat the lists on
-SAT gadgets, random graphs and grids, and lost on long paths (by 10-40%
-from about 250 vertices on, where the levels are many and thin)."""
+_BIT_VERTICES = 2048
+"""``schedule_sources`` builds its ball table by a bit-parallel BFS only on
+graphs of at most this many vertices.  Each vertex a search reaches and
+each level cost it a few big-int operations of n bits, and its neighbour
+masks take up to about n**2 / 8 bytes, so its cost per vertex grows with
+n where that of the ``_bfs`` lists does not.  The bound is a measured
+crossover of whole calls against the lists (see CHANGES.md): grids of
+1600-2000 vertices and random connected graphs of about 6000 ran about as
+fast either way, and a 64x64 grid 25% slower by the bit table."""
 
 _TABLE_BYTES_PER_VISIT = 16
-"""Above ``_BIT_VERTICES``, ``schedule_sources`` builds the mask of every
-radius up front when the table takes at most this many bytes per vertex
-its BFS lists hold, which is what those lists already take (two 8-byte
-entries per vertex)."""
+"""``schedule_sources``' bit table gives up on a search past
+``_FREE_RADII`` hops whose masks take more than this many bytes per vertex
+it has reached, which is what ``_bfs`` lists of those vertices take (two
+8-byte entries per vertex).  Such a search has many thin levels, each an
+n-bit mask, and building the few balls the search asks for costs less."""
+
+_FREE_RADII = 24
+"""The depth up to which ``schedule_sources``' bit table keeps a search's
+masks whatever their size.  A search's first levels are thin beside an
+n-bit mask (radius 0 holds the source alone), and a shallow search costs
+little either way.  24 is the most rounds a default budget asks for (24
+sources at k = 1), so every search under a default budget keeps its
+masks, as does every SAT gadget at its reduction's budget of two rounds
+per variable, whose searches are as thin as a path's for many hops."""
 
 
 def _deadline(time_budget: float | None) -> float | None:
@@ -294,6 +305,61 @@ def ordering_feasible(
     return True, ""
 
 
+def _ball_table(
+    g: Graph, srcs: list[int], rounds: int, gap: list[list[int]], slot: bytearray,
+    tick: Callable[[], None],
+) -> list[list[int]] | None:
+    """The masks of every radius of every source, by one bit-parallel BFS per
+    source cut at rounds - 1 hops: masks[d] holds the vertices within d hops,
+    and the last one is the whole ball.  Each level ORs in the neighbour
+    masks of the frontier's bits, its mask is the next entry, and the
+    sources among its new bits fill the source's ``gap`` row through
+    ``slot``.  A vertex's neighbour mask is built when a search first
+    reaches it, so the work follows the vertices reached, not n.  ``tick``
+    is called at each level.
+
+    Returns None once a search runs deeper than ``_FREE_RADII`` hops and
+    its masks take more than ``_TABLE_BYTES_PER_VISIT`` bytes per vertex
+    it has reached.
+    """
+    n = g.n
+    size = (n + 7) // 8
+    adj = g.adj
+    nbr: list[int | None] = [None] * n  # nbr[v] = the mask of v's neighbours, once built
+    at_source = sum(map((1).__lshift__, srcs))
+    table = []
+    for s, row in zip(srcs, gap):
+        reached = frontier = 1 << s
+        masks = [reached]
+        for d in range(1, rounds):
+            tick()
+            grown = reached
+            while frontier:  # take the frontier's bits highest first
+                v = frontier.bit_length() - 1
+                mask = nbr[v]
+                if mask is None:
+                    mask = 0
+                    for u in adj[v]:
+                        mask |= 1 << u
+                    nbr[v] = mask
+                grown |= mask
+                frontier ^= 1 << v
+            frontier = grown ^ reached
+            if not frontier:
+                break
+            reached = grown
+            masks.append(reached)
+            if d >= _FREE_RADII and (d + 1) * size > _TABLE_BYTES_PER_VISIT * reached.bit_count():
+                return None
+            hit = frontier & at_source  # the sources d hops away
+            while hit:
+                v = hit.bit_length() - 1
+                row[slot[v] - 1] = d
+                hit ^= 1 << v
+        table.append(masks)
+    return table
+
+
 def schedule_sources(
     inst: SchedulingInstance,
     rounds: int | None = None,
@@ -315,19 +381,17 @@ def schedule_sources(
     balls over sources i onwards) are bitmasks, their radius clamped to
     that eccentricity (for ``suffix``, the largest among the sources it
     unions), so a round budget far past every eccentricity adds no mask.
-    How the balls are built depends on the graph.  On at most
-    ``_BIT_VERTICES`` vertices (a 12-variable SAT gadget at clause ratio
-    4.26 has 603) the search is bit-parallel: each vertex's neighbour
-    mask is built once, each level ORs in those of the frontier's bits,
-    and its masks are the balls of every radius, with no list per vertex.
-    On larger graphs the search is the package's shared ``graph._bfs``,
-    which lists the vertices it reaches in visit order with their hop
-    counts.  When the masks of every radius of every source take no more
-    bytes than those lists already hold (``_TABLE_BYTES_PER_VISIT`` per
-    vertex listed), one walk over each list sets bits in a byte buffer
-    and reads the masks of all radii at its hop boundaries.  Otherwise (a
-    long path, a large grid) a ball is built on first use, mostly from
-    the one a radius larger, less that one's outer BFS layer.
+    The balls are built one of two ways.  On graphs of at most
+    ``_BIT_VERTICES`` vertices they are built up front by ``_ball_table``,
+    a bit-parallel search whose levels are the masks of every radius, with
+    no list per vertex.  A search deeper than ``_FREE_RADII`` hops whose
+    masks take more than ``_TABLE_BYTES_PER_VISIT`` bytes per vertex it
+    has reached (a long path or ladder, many thin levels) makes it give
+    the table up.  Then, and on larger graphs, each source's search is the
+    package's shared ``graph._bfs``, which lists the vertices it reaches
+    in visit order with their hop counts, and a ball is built on first
+    use, mostly from the one a radius larger, less that one's outer BFS
+    layer.
     The search carries ``covered``, the union of ``ball(i, rounds - r)``
     over the assigned (source, round) pairs.  After placing source i, with
     ``free`` the earliest round with spare capacity, the branch lives only
@@ -347,8 +411,8 @@ def schedule_sources(
     Raises UndeterminedError when ``time_budget`` (seconds) runs out before
     the search settles, and ValueError before any work if it is < 0 or NaN.
     The clock is read at every search node, in the set-up (at each BFS
-    level, at each hop boundary of the walk, and at each ball built on
-    first use) and at each round of the certifying pass.
+    level, and at each ball built on first use) and at each round of the
+    certifying pass.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:
@@ -372,91 +436,40 @@ def schedule_sources(
     # index of source v, 0 for any other vertex; ecc[i] = the radius past
     # which the i-th source's ball grows no more, its BFS cut at rounds - 1
     # hops; table[i][d] = the vertices within d hops of the i-th source,
-    # when the masks of every radius are built up front
+    # when the masks of every radius are built up front by _ball_table
     gap = [[rounds] * len(srcs) for _ in srcs]
     slot = bytearray(n)
     for j, s in enumerate(srcs):
         slot[s] = j + 1
-    table: list[list[int]] | None = []
-
-    if n <= _BIT_VERTICES:
-        # one bit-parallel BFS per source: each level ORs in the neighbour
-        # masks of the frontier's bits, and each level's mask is a table entry
-        nbr = []  # nbr[v] = the mask of v's neighbours
-        for a in g.adj:
-            mask = 0
-            for u in a:
-                mask |= 1 << u
-            nbr.append(mask)
-        at_source = sum(map((1).__lshift__, srcs))
-        for s, row in zip(srcs, gap):
-            reached = frontier = 1 << s
-            masks = [reached]
-            for d in range(1, rounds):
-                tick()
-                grown = reached
-                while frontier:  # take the frontier's bits highest first
-                    v = frontier.bit_length() - 1
-                    grown |= nbr[v]
-                    frontier ^= 1 << v
-                frontier = grown ^ reached
-                if not frontier:
-                    break
-                reached = grown
-                masks.append(reached)
-                hit = frontier & at_source  # the sources d hops away
-                while hit:
-                    v = hit.bit_length() - 1
-                    row[slot[v] - 1] = d
-                    hit ^= 1 << v
-            table.append(masks)
-        ecc = [len(masks) - 1 for masks in table]
-    else:
-        # each source's one _bfs: the vertices it reaches nearest first and
-        # their hop counts, the last of which is ecc[i]
-        found = [_bfs(g, [s], rounds - 1, each_level=None if deadline is None else tick)
-                 for s in srcs]
-        ecc = [hop[-1] for _, hop in found]
-        size = (n + 7) // 8
-        visits = sum(len(at) for at, _ in found)
-        if (sum(ecc) + len(srcs)) * size <= _TABLE_BYTES_PER_VISIT * visits:
-            # the masks of every radius are no bigger than the BFS lists, so
-            # one walk builds them all, read off a buffer at each hop boundary
-            for (at, hop), row in zip(found, gap):
-                buf = bytearray(size)
-                masks = []
-                level = 0
-                for v, d in zip(at, hop):
-                    if d != level:  # v opens hop d: the radius-(d - 1) ball is whole
-                        masks.append(int.from_bytes(buf, "little"))
-                        level = d
-                        tick()
-                    buf[v >> 3] |= 1 << (v & 7)
-                    if slot[v]:
-                        row[slot[v] - 1] = d
-                masks.append(int.from_bytes(buf, "little"))
-                table.append(masks)
-            del found
-        else:
-            table = None
-            for (at, hop), row in zip(found, gap):
-                for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
-                    row[slot[v] - 1] = d
-            built: list[dict[int, int]] = [{} for _ in srcs]
-
-            def bits(vertices: list[int]) -> int:
-                # set bits in a byte buffer: OR-ing one-bit ints in one by one
-                # would copy the whole mask per vertex
-                buf = bytearray(size)
-                for v in vertices:
-                    buf[v >> 3] |= 1 << (v & 7)
-                return int.from_bytes(buf, "little")
+    size = (n + 7) // 8
+    table = _ball_table(g, srcs, rounds, gap, slot, tick) if n <= _BIT_VERTICES else None
 
     if table is not None:
+        ecc = [len(masks) - 1 for masks in table]
+
         def ball(i: int, d: int) -> int:
             masks = table[i]
             return masks[d] if d < len(masks) else masks[-1]
     else:
+        # each source's one _bfs: the vertices it reaches nearest first and
+        # their hop counts, the last of which is ecc[i]; the gaps a given-up
+        # table filled are true distances, written again here
+        found = [_bfs(g, [s], rounds - 1, each_level=None if deadline is None else tick)
+                 for s in srcs]
+        ecc = [hop[-1] for _, hop in found]
+        for (at, hop), row in zip(found, gap):
+            for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
+                row[slot[v] - 1] = d
+        built: list[dict[int, int]] = [{} for _ in srcs]
+
+        def bits(vertices: list[int]) -> int:
+            # set bits in a byte buffer: OR-ing one-bit ints in one by one
+            # would copy the whole mask per vertex
+            buf = bytearray(size)
+            for v in vertices:
+                buf[v >> 3] |= 1 << (v & 7)
+            return int.from_bytes(buf, "little")
+
         def ball(i: int, d: int) -> int:
             d = min(d, ecc[i])
             row = built[i]

@@ -6,10 +6,11 @@ algorithm in this package reads adjacency lists without mutating them,
 so sharing a graph across threads is safe.
 
 Every plain distance query in the package (``bfs_distances``, components,
-the fixed-source scheduler's balls on large graphs) runs on the one search
-``_bfs``.  On graphs of at most ``exact._BIT_VERTICES`` vertices the
-scheduler runs a bit-parallel search of its own, whose levels are its
-ball masks.
+the fixed-source scheduler's balls when it builds them on demand) runs on
+the one search ``_bfs``.  On graphs of at most ``exact._BIT_VERTICES``
+vertices the scheduler first runs a bit-parallel search of its own, whose
+levels are its ball masks, and turns to ``_bfs`` if a deep search's
+levels are too thin for them.
 """
 
 from __future__ import annotations
@@ -120,10 +121,11 @@ def _build(n: int, ids: list[int], out_of_range: str, vid: list[int] | None = No
                 return Graph(n, adj)
             for a in adj:
                 a.sort()
-            if sum(map(len, map(set, adj))) == len(ids):
+            lens = [*map(len, map(set, adj))]  # the distinct neighbours of each vertex
+            if sum(lens) == len(ids):
                 return Graph(n, adj)
             # a duplicate is a repeated neighbour in its smaller end's sorted list
-            short = compress(vid, map(gt, map(len, adj), map(len, map(set, adj))))
+            short = compress(vid, map(gt, map(len, adj), lens))
             dups = {(u, v) for u in short
                     for v, w in zip(adj[u], islice(adj[u], 1, None)) if v == w and u < v}
         finally:
@@ -167,8 +169,8 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def _graph_from_ids(n: int, ids: list[int]) -> Graph:
     """graph_from_edges for a flat id list ``[u0, v0, u1, v1, ...]``, which
-    _build checks: ValueError for a bad vertex count or the first bad edge."""
-    _check_vertex_count(n)
+    _build checks: ValueError for the first bad edge.  The caller has
+    already bounded n, as graph_from_edges does before it reads an edge."""
     try:
         return _build(n, ids, _EDGE_OUT_OF_RANGE)
     except _BadEdge as e:

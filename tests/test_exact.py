@@ -367,12 +367,11 @@ def test_schedule_sources_memory_with_rounds_past_every_eccentricity():
 
 
 def test_schedule_sources_mask_paths_agree(monkeypatch):
-    # the masks are built by a bit-parallel BFS on graphs up to a vertex
-    # bound; above it, in one walk over each BFS when the table is small,
-    # else on demand (the only path that bisects the BFS lists); forcing
-    # each side gives the same witnesses, round budgets past the
-    # eccentricities, a budget of one round, disconnected graphs and
-    # sources that cannot reach each other included
+    # the masks are built up front by a bit-parallel BFS on graphs within a
+    # vertex bound, else on demand from BFS lists (the only path that
+    # bisects them); forcing each side gives the same witnesses, round
+    # budgets past the eccentricities, a budget of one round, disconnected
+    # graphs and sources that cannot reach each other included
     bisects = []
 
     def counted(*args):
@@ -410,18 +409,53 @@ def test_schedule_sources_mask_paths_agree(monkeypatch):
     verdicts = set()
     for inst, rounds in cases:
         got = {}
-        for side, bound, budget in (("bits", 10**9, 0), ("eager", 0, 10**9), ("lazy", 0, 0)):
+        for side, bound in (("eager", 10**9), ("lazy", 0)):
             monkeypatch.setattr(exact, "_BIT_VERTICES", bound)
-            monkeypatch.setattr(exact, "_TABLE_BYTES_PER_VISIT", budget)
+            monkeypatch.setattr(exact, "_TABLE_BYTES_PER_VISIT", 10**9)
             bisects.clear()
             got[side] = schedule_sources(inst, rounds)
             assert bool(bisects) == (side == "lazy")
-        assert got["bits"] == got["eager"] == got["lazy"], (
-            inst.graph.adj, inst.sources, inst.k, rounds)
+        assert got["eager"] == got["lazy"], (inst.graph.adj, inst.sources, inst.k, rounds)
         verdicts.add(got["eager"] is None)
     assert verdicts == {True, False}
     # sources in different parts take adjacent rounds, as no gap binds them
     assert schedule_sources(SchedulingInstance(apart, (1, 4, 7), 1), 3) == {1: 2, 4: 1, 7: 3}
+
+
+def test_schedule_sources_gives_up_the_bit_table_on_deep_thin_searches(monkeypatch):
+    # a search deeper than 24 hops whose masks take more than 16 bytes per
+    # vertex it reached gives the bit table up, and the BFS lists take over:
+    # a long path's and a ladder's do.  A SAT gadget's searches, a grid's
+    # searched 2 hops deep, and its searches 31 hops deep, which spread wide,
+    # keep it
+    tables, searches = [], []
+    table, bfs = exact._ball_table, exact._bfs
+
+    def watched_table(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    def watched_bfs(*args, **kwargs):
+        searches.append(args[1])
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "_ball_table", watched_table)
+    monkeypatch.setattr(exact, "_bfs", watched_bfs)
+    cnf = Cnf3(6, ((1, 2, 3), (-1, 4, 5), (-2, -3, -4), (1, -5, 6), (2, -4, 5), (-6, 3, 4)))
+    gadget = build_sat_instance(cnf).inst
+    cases = [
+        (gadget, 12, True, 0),
+        (SchedulingInstance(path_graph(1024), (100, 500, 900), 1), 256, False, 3),
+        (SchedulingInstance(grid_graph(2, 512), (100, 500, 900), 1), 256, False, 3),
+        (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 3, True, 0),
+        (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 32, True, 0),
+    ]
+    for inst, rounds, kept, listed in cases:
+        tables.clear()
+        searches.clear()
+        schedule_sources(inst, rounds)
+        assert [t is not None for t in tables] == [kept]
+        assert len(searches) == listed
 
 
 def test_exact_raises_on_a_witness_the_round_engine_rejects(monkeypatch):
