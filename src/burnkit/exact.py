@@ -441,7 +441,6 @@ def schedule_sources(
     slot = bytearray(n)
     for j, s in enumerate(srcs):
         slot[s] = j + 1
-    size = (n + 7) // 8
     table = _ball_table(g, srcs, rounds, gap, slot, tick) if n <= _BIT_VERTICES else None
 
     if table is not None:
@@ -461,6 +460,7 @@ def schedule_sources(
             for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
                 row[slot[v] - 1] = d
         built: list[dict[int, int]] = [{} for _ in srcs]
+        size = (n + 7) // 8
 
         def bits(vertices: list[int]) -> int:
             # set bits in a byte buffer: OR-ing one-bit ints in one by one

@@ -425,9 +425,9 @@ def test_schedule_sources_mask_paths_agree(monkeypatch):
 def test_schedule_sources_gives_up_the_bit_table_on_deep_thin_searches(monkeypatch):
     # a search deeper than 24 hops whose masks take more than 16 bytes per
     # vertex it reached gives the bit table up, and the BFS lists take over:
-    # a long path's and a ladder's do.  A SAT gadget's searches, a grid's
-    # searched 2 hops deep, and its searches 31 hops deep, which spread wide,
-    # keep it
+    # a long path's and a ladder's do.  A SAT gadget's searches at two
+    # rounds per variable keep it, and so do a grid's, 2 hops deep or 31
+    # hops deep, where they spread wide
     tables, searches = [], []
     table, bfs = exact._ball_table, exact._bfs
 
@@ -441,10 +441,13 @@ def test_schedule_sources_gives_up_the_bit_table_on_deep_thin_searches(monkeypat
 
     monkeypatch.setattr(exact, "_ball_table", watched_table)
     monkeypatch.setattr(exact, "_bfs", watched_bfs)
-    cnf = Cnf3(6, ((1, 2, 3), (-1, 4, 5), (-2, -3, -4), (1, -5, 6), (2, -4, 5), (-6, 3, 4)))
-    gadget = build_sat_instance(cnf).inst
+    # a 12-variable gadget: 24 sources, the first of which reaches about
+    # 50 of its 603 vertices in 23 hops, as thin as a path
+    rng = random.Random(12)
+    clauses = tuple(tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 13), 3))
+                    for _ in range(51))
     cases = [
-        (gadget, 12, True, 0),
+        (build_sat_instance(Cnf3(12, clauses)).inst, 24, True, 0),
         (SchedulingInstance(path_graph(1024), (100, 500, 900), 1), 256, False, 3),
         (SchedulingInstance(grid_graph(2, 512), (100, 500, 900), 1), 256, False, 3),
         (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 3, True, 0),
