@@ -43,15 +43,15 @@ class SchedulingInstance:
         self.sources = tuple(srcs)
 
 
-_BIT_VERTICES = 2048
+_BIT_VERTICES = 1600
 """``schedule_sources`` builds its ball table by a bit-parallel BFS only on
 graphs of at most this many vertices.  Each vertex a search reaches and
 each level cost it a few big-int operations of n bits, and its neighbour
 masks take up to about n**2 / 8 bytes, so its cost per vertex grows with
-n where that of the ``_bfs`` lists does not.  The bound is a measured
-crossover of whole calls against the lists (see CHANGES.md): grids of
-1600-2000 vertices and random connected graphs of about 6000 ran about as
-fast either way, and a 64x64 grid 25% slower by the bit table."""
+n where that of the ``_bfs`` lists does not.  The bound is the grids'
+measured crossover of whole calls against the lists (see CHANGES.md):
+a 40x40 grid ran about as fast either way, a 45x45 one 11% slower by the
+bit table; random connected graphs crossed near 6000 vertices."""
 
 _TABLE_BYTES_PER_VISIT = 16
 """``schedule_sources``' bit table gives up on a search past
