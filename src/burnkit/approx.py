@@ -18,16 +18,12 @@ graphs only the two probes that bound j scan nearly all of it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import log
+from typing import Callable
 
 from .burning import Schedule, _pad_certified
 from .graph import Graph
-
-
-class UndeterminedError(RuntimeError):
-    """Search gave up before settling on a value (round or time bound hit)."""
 
 
 @dataclass
@@ -52,15 +48,14 @@ class ApproxResult:
 
 
 def _greedy_scatter(
-    g: Graph, r: int, limit: int | None = None, deadline: float | None = None
+    g: Graph, r: int, limit: int | None = None, tick: Callable[[], None] | None = None
 ) -> list[int]:
     """Greedy pick order for mis_power; truncated BFS marks 2r-hop balls.
 
     When ``limit`` is given, the scan stops at the pick that exceeds it
     and returns the truncated order of ``limit + 1`` picks; its last id
-    shows how far the scan got.  With a ``deadline``
-    (``time.monotonic()`` seconds) the clock is read once per pick and
-    UndeterminedError is raised once it has passed.  A vertex visited at
+    shows how far the scan got.  ``tick`` is called once per pick, so a
+    caller's time budget can stop the scan there.  A vertex visited at
     depth d is never re-expanded from depth >= d: the earlier visit had
     at least as much remaining budget, so nothing new is reachable.
     """
@@ -73,8 +68,8 @@ def _greedy_scatter(
     for v in range(n):
         if depth[v] <= budget:
             continue
-        if deadline is not None and time.monotonic() > deadline:
-            raise UndeterminedError("time budget exhausted")
+        if tick is not None:
+            tick()
         order.append(v)
         if limit is not None and len(order) > limit:
             return order
@@ -112,7 +107,7 @@ _TRUST = 16
 
 
 def _search_lower_bound(
-    g: Graph, k: int, deadline: float | None = None
+    g: Graph, k: int, tick: Callable[[], None] | None = None
 ) -> tuple[int, list[int]]:
     """Smallest j with |M(j)| <= k*j, plus the pick order at j.
 
@@ -134,10 +129,9 @@ def _search_lower_bound(
     more than 2(j-1) apart, certify b >= j: a source of a (j-1)-round
     schedule covers radius <= j - 2, so at most one pick.  If the sizes
     shrink as the radius grows, j is also the least index that holds, as
-    any bisection's.  With a ``deadline`` (``time.monotonic()``
-    seconds) every probe reads the clock once per pick and raises
-    UndeterminedError once it has passed.  An empty graph or k < 1
-    raises ValueError, for every solver that starts here.
+    any bisection's.  Every probe calls ``tick`` once per pick, so a
+    caller's time budget can stop the search there.  An empty graph or
+    k < 1 raises ValueError, for every solver that starts here.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -148,7 +142,7 @@ def _search_lower_bound(
     found: dict[int, list[int]] = {}
 
     def probe(j: int) -> bool:
-        order = _greedy_scatter(g, j, k * j, deadline)
+        order = _greedy_scatter(g, j, k * j, tick)
         if len(order) <= k * j:
             sizes[j] = len(order)
             found[j] = order

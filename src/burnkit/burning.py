@@ -92,7 +92,7 @@ def ignition_list(s: Schedule) -> list[tuple[int, int]]:
 
 
 def _run_rounds(g: Graph, k: int, rounds: list[list[int]], mode: str,
-                each_round: Callable[[], None] | None = None,
+                tick: Callable[[], None] | None = None,
                 ) -> tuple[list[int], int, list[Violation], list[list[int]]]:
     """The one propagate-then-ignite loop, in ``"check"`` or ``"pad"`` mode.
 
@@ -102,8 +102,8 @@ def _run_rounds(g: Graph, k: int, rounds: list[list[int]], mode: str,
     batch up to ``min(k, unburnt)`` with the smallest unburnt ids not
     listed later (those only when nothing else is left) and stops once
     everything burns.  Returns the burn rounds (0 = never), the completion
-    round, the violations and the batches.  ``each_round`` is called as
-    each round starts, so a caller can stop the loop there by raising.
+    round, the violations and the batches.  ``tick`` is called as each
+    round starts, so a caller's time budget can stop the loop there.
     """
     n, adj = g.n, g.adj
     pad = mode == "pad"
@@ -122,8 +122,8 @@ def _run_rounds(g: Graph, k: int, rounds: list[list[int]], mode: str,
     # checking keeps going past completion while batches are still listed:
     # igniting into a fully burnt graph is a violation worth reporting
     while unburnt or t < listed:
-        if each_round is not None:
-            each_round()
+        if tick is not None:
+            tick()
         t += 1
         new: list[int] = []
         for x in frontier:

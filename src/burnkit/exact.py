@@ -16,7 +16,7 @@ from functools import cache
 from itertools import accumulate, combinations, compress
 from typing import Callable
 
-from .approx import UndeterminedError, _search_lower_bound
+from .approx import _search_lower_bound
 from .burning import Schedule, _pad_certified, _run_rounds
 from .graph import Graph, _bfs
 
@@ -70,27 +70,41 @@ masks, as does every SAT gadget at its reduction's budget of two rounds
 per variable, whose searches are as thin as a path's for many hops."""
 
 
-def _deadline(time_budget: float | None) -> float | None:
-    """The ``time.monotonic()`` reading at which ``time_budget`` seconds run out."""
+class UndeterminedError(RuntimeError):
+    """Search gave up before settling on a value (round or time bound hit)."""
+
+
+def _ticker(time_budget: float | None) -> Callable[[], None] | None:
+    """None for no budget, else the ``tick`` every budgeted loop calls: it
+    raises UndeterminedError once ``time_budget`` seconds have passed."""
     if time_budget is None:
         return None
     if not time_budget >= 0:  # NaN fails every comparison
         raise ValueError(f"time budget must be a non-negative number of seconds, got {time_budget}")
-    return time.monotonic() + time_budget
+    deadline = time.monotonic() + time_budget
 
-
-def _grow_balls(g: Graph, ball: list[list[int]], deadline: float | None) -> None:
-    """Extend every row by one radius: ball[v][d + 1] joins v's radius-d ball
-    with those of its neighbours."""
-    adj = g.adj
-    d = len(ball[0]) - 1
-    for v, row in enumerate(ball):
-        if deadline is not None and time.monotonic() > deadline:
+    def tick() -> None:
+        if time.monotonic() > deadline:
             raise UndeterminedError("time budget exhausted")
-        acc = row[d]
+
+    return tick
+
+
+def _grow_balls(g: Graph, ball: list[list[int]], tick: Callable[[], None] | None) -> None:
+    """Extend every row by one radius: ball[v][d + 1] joins v's radius-d ball
+    with those of its neighbours.  ``tick`` is called at each vertex."""
+    adj = g.adj
+    d = len(ball[0]) - 1 if ball else -1
+    for v in range(g.n):
+        if tick is not None:
+            tick()
+        if d < 0:  # the first call makes the radius-0 rows, each vertex alone
+            ball.append([1 << v])
+            continue
+        acc = ball[v][d]
         for u in adj[v]:
             acc |= ball[u][d]
-        row.append(acc)
+        ball[v].append(acc)
 
 
 def exact_burning_number(
@@ -123,24 +137,24 @@ def exact_burning_number(
     3j raises RuntimeError, as does a witness that ``_pad_certified`` (the
     certified pad pass) rejects or finds not to end at L.
 
-    Raises UndeterminedError when ``max_rounds`` or ``time_budget`` is
-    exhausted first, the lower-bound probes and the precomputation
-    included; never returns a wrong number.  A ``max_rounds`` below 1 and
-    a negative or NaN ``time_budget`` are ValueErrors, raised before any
-    work, as in ``schedule_sources``; an infinite budget sets no limit.
+    Raises UndeterminedError when ``max_rounds`` or ``time_budget`` runs
+    out first, the lower-bound probes and every ball row (radius 0
+    included) under the clock; never returns a wrong number.  A
+    ``max_rounds`` below 1 and a negative or NaN ``time_budget`` are
+    ValueErrors, raised before any work; an infinite budget sets no limit.
     """
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("round budget must be positive")
-    deadline = _deadline(time_budget)
+    tick = _ticker(time_budget)
     n = g.n
     full = (1 << n) - 1
-    start_l = _search_lower_bound(g, k, deadline)[0]
+    start_l = _search_lower_bound(g, k, tick)[0]
     top = 3 * start_l  # b <= 3j: the approximation completes within 3j rounds
     # ball[v][d] = bitmask of the vertices within d hops of v, grown one
-    # radius at a time up to the largest a depth reads; maxball[d] = the
-    # most any radius-d ball holds
-    ball = [[1 << v] for v in range(n)]
-    maxball = [1]
+    # radius at a time (radius 0 first) up to the largest a depth reads;
+    # maxball[d] = the most any radius-d ball holds
+    ball: list[list[int]] = []
+    maxball: list[int] = []
 
     def try_depth(limit: int) -> list[list[int]] | None:
         # cap[r] = most vertices rounds r..limit could still cover
@@ -150,8 +164,8 @@ def exact_burning_number(
 
         def dfs(r: int, covered: int, acc: list[list[int]]) -> list[list[int]] | None:
             # only batches that are neither complete nor short of need get here
-            if deadline is not None and time.monotonic() > deadline:
-                raise UndeterminedError("time budget exhausted")
+            if tick is not None:
+                tick()
             uncovered = full & ~covered
             radius = limit - r
             if 2 * radius < limit:  # the packing bound reads only grown radii
@@ -196,7 +210,7 @@ def exact_burning_number(
         if depth > top:
             raise RuntimeError(f"burning number exceeds 3 * lower bound = {top}")
         while len(maxball) < depth:  # depth L reads radii up to L - 1
-            _grow_balls(g, ball, deadline)
+            _grow_balls(g, ball, tick)
             maxball.append(max(row[-1].bit_count() for row in ball))
         batches = try_depth(depth)
         if batches is not None:
@@ -270,7 +284,7 @@ def naive_oracle(g: Graph, k: int, rounds: int) -> bool:
 
 def ordering_feasible(
     inst: SchedulingInstance, ordering: dict[int, int], rounds: int,
-    each_round: Callable[[], None] | None = None,
+    tick: Callable[[], None] | None = None,
 ) -> tuple[bool, str]:
     """Check a full round assignment: capacity, ignition order, coverage.
 
@@ -281,8 +295,8 @@ def ordering_feasible(
     when ignited, and every vertex must burn by the deadline.
     The reason names the first source found burnt at its ignition
     (earliest round, then the ordering's order within a round), else the
-    smallest vertex that burns late or never.  ``each_round`` is called
-    as each round of the loop starts, so a caller can stop it by raising.
+    smallest vertex that burns late or never.  ``tick`` is called as each
+    round of the loop starts, so a caller's time budget can stop it there.
     """
     if sorted(ordering) != list(inst.sources):
         return False, "ordering must assign exactly the instance sources"
@@ -295,7 +309,7 @@ def ordering_feasible(
         batches[r - 1].append(s)
         if len(batches[r - 1]) > inst.k:
             return False, f"round {r} ignites more than k={inst.k} sources"
-    burn, _, violations, _ = _run_rounds(inst.graph, inst.k, batches, "check", each_round)
+    burn, _, violations, _ = _run_rounds(inst.graph, inst.k, batches, "check", tick)
     for v in violations:
         if v.reason == "already burnt at ignition":
             return False, f"source {v.vertex} is already burnt at round {v.round}"
@@ -307,7 +321,7 @@ def ordering_feasible(
 
 def _ball_table(
     g: Graph, srcs: list[int], rounds: int, gap: list[list[int]], slot: bytearray,
-    tick: Callable[[], None],
+    tick: Callable[[], None] | None,
 ) -> list[list[int]] | None:
     """The masks of every radius of every source, by one bit-parallel BFS per
     source cut at rounds - 1 hops: masks[d] holds the vertices within d hops,
@@ -332,7 +346,8 @@ def _ball_table(
         reached = frontier = 1 << s
         masks = [reached]
         for d in range(1, rounds):
-            tick()
+            if tick is not None:
+                tick()
             grown = reached
             while frontier:  # take the frontier's bits highest first
                 v = frontier.bit_length() - 1
@@ -372,7 +387,10 @@ def schedule_sources(
     least feasible assignment vector.  Pruning: per-round capacity,
     pairwise still-unburnt-at-ignition constraints among assigned sources,
     and an optimistic completion bound that places every unassigned source
-    at the earliest round with spare capacity.
+    at the earliest round with spare capacity.  Rounds past |S| are never
+    tried: deleting a round no source uses, moving every later source one
+    round earlier, keeps each load, moves no two rounds apart and only
+    grows balls, so the least witness uses only rounds 1..|S|.
 
     One breadth-first search per source, cut at rounds - 1 hops, gives the
     source's distances to the other sources and its eccentricity, past
@@ -408,11 +426,10 @@ def schedule_sources(
     ``ordering_feasible``, which runs the round loop, and RuntimeError is
     raised should it disagree: no witness is returned unchecked.
 
-    Raises UndeterminedError when ``time_budget`` (seconds) runs out before
-    the search settles, and ValueError before any work if it is < 0 or NaN.
-    The clock is read at every search node, in the set-up (at each BFS
-    level, and at each ball built on first use) and at each round of the
-    certifying pass.
+    Raises UndeterminedError when ``time_budget`` (seconds) runs out, with
+    the clock read at every search node, at each level of a ball search,
+    at each ball built on first use and at each round of the certifying
+    pass, and ValueError before any work if it is < 0 or NaN.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:
@@ -421,15 +438,11 @@ def schedule_sources(
         rounds = -(-len(srcs) // inst.k)
     if rounds < 1:
         raise ValueError("round budget must be positive")
-    deadline = _deadline(time_budget)
+    tick = _ticker(time_budget)
     g = inst.graph
     n = g.n
     k = inst.k
     full = (1 << n) - 1
-
-    def tick() -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise UndeterminedError("time budget exhausted")
 
     # gap[i][j] = the hops between sources i and j (rounds when farther, a gap
     # no two rounds in 1..rounds span), filled through slot[v] = 1 + the
@@ -453,8 +466,7 @@ def schedule_sources(
         # each source's one _bfs: the vertices it reaches nearest first and
         # their hop counts, the last of which is ecc[i]; the gaps a given-up
         # table filled are true distances, written again here
-        found = [_bfs(g, [s], rounds - 1, each_level=None if deadline is None else tick)
-                 for s in srcs]
+        found = [_bfs(g, [s], rounds - 1, tick=tick) for s in srcs]
         ecc = [hop[-1] for _, hop in found]
         for (at, hop), row in zip(found, gap):
             for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
@@ -475,7 +487,8 @@ def schedule_sources(
             row = built[i]
             mask = row.get(d)
             if mask is None:
-                tick()
+                if tick is not None:
+                    tick()
                 # the search asks for each source's radii largest first, so
                 # ball(i, d + 1) is mostly built: drop its outer BFS layer
                 at, hop = found[i]
@@ -492,9 +505,8 @@ def schedule_sources(
 
     @cache
     def suffix(i: int, d: int) -> int:
-        # the search asks for suffix(i, rounds - f) only with f at most one
-        # past the full rounds, of which there are at most |S|, so it caches
-        # few radii past reach[i], and those share the mask at reach[i]
+        # the search asks for suffix(i, rounds - f) only with f <= |S| + 1, so
+        # it caches few radii past reach[i], and those share the mask at reach[i]
         if d > reach[i]:
             return suffix(i, reach[i])
         return ball(i, d) | suffix(i + 1, d) if i < len(srcs) else 0
@@ -502,33 +514,33 @@ def schedule_sources(
     if suffix(0, rounds - 1) != full:
         return None
 
-    capacity: dict[int, int] = {}  # sources placed per round; a round not listed holds none
+    capacity = [0] * (len(srcs) + 2)  # sources per round: first <= |S|, free <= |S| + 1
     when: list[int] = []  # when[j] = round of source j, for the sources placed so far
 
     def place(i: int, covered: int) -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            raise UndeterminedError("time budget exhausted")
+        if tick is not None:
+            tick()
         if i == len(srcs):
             return True  # covered == full, or the bound would have cut this branch
         first = 1  # the earliest round with room: every round before it is full
-        while capacity.get(first, 0) >= k:
+        while capacity[first] >= k:
             first += 1
         if first > rounds:
             return False
         # the later of two sources d hops apart burns before its round
         # unless their rounds differ by less than d
         lo = max([first] + [rp - d + 1 for d, rp in zip(gap[i], when)])
-        hi = min([rounds] + [rp + d - 1 for d, rp in zip(gap[i], when)])
+        hi = min([rounds, len(srcs)] + [rp + d - 1 for d, rp in zip(gap[i], when)])
         # a placement that leaves room at first keeps the bound's suffix term
         later = suffix(i + 1, rounds - first)
         for r in range(lo, hi + 1):
-            used = capacity.get(r, 0)
+            used = capacity[r]
             if used >= k:
                 continue
             now = covered | ball(i, rounds - r)
             if r == first and used == k - 1:
                 free = r + 1  # placing here fills first: the bound moves on
-                while capacity.get(free, 0) >= k:
+                while capacity[free] >= k:
                     free += 1
                 if now | (suffix(i + 1, rounds - free) if free <= rounds else 0) != full:
                     continue
@@ -538,17 +550,14 @@ def schedule_sources(
             capacity[r] = used + 1
             if place(i + 1, now):
                 return True
-            if used:
-                capacity[r] = used
-            else:
-                del capacity[r]  # the dict holds only rounds in use
+            capacity[r] = used
             when.pop()
         return False
 
     if not place(0, 0):
         return None
     witness = dict(zip(srcs, when))
-    ok, why = ordering_feasible(inst, witness, rounds, None if deadline is None else tick)
+    ok, why = ordering_feasible(inst, witness, rounds, tick)
     if not ok:
         raise RuntimeError(f"search returned an ordering the round engine rejects: {why}")
     return witness

@@ -330,13 +330,13 @@ class DistanceTable:
 
 def _bfs(g: Graph, sources: Iterable[int], max_depth: int | None = None,
          seen: list[bool] | None = None,
-         each_level: Callable[[], None] | None = None) -> tuple[list[int], list[int]]:
+         tick: Callable[[], None] | None = None) -> tuple[list[int], list[int]]:
     """The one breadth-first search: the vertices within ``max_depth`` hops
     of the sources (every reachable one when None) in visit order, sources
     first at hop 0, with their hop counts.  ``seen`` is updated in place,
     and a vertex already marked in it is neither listed nor crossed.
-    ``each_level`` is called before each hop level is expanded, so a
-    caller can stop the search there by raising."""
+    ``tick`` is called before each hop level is expanded, so a caller's
+    time budget can stop the search there."""
     if seen is None:
         seen = [False] * g.n
     adj = g.adj
@@ -351,8 +351,8 @@ def _bfs(g: Graph, sources: Iterable[int], max_depth: int | None = None,
         if d == level:  # x is the first vertex of its level
             if d == max_depth:
                 break
-            if each_level is not None:
-                each_level()
+            if tick is not None:
+                tick()
             level += 1
         d += 1
         for u in adj[x]:

@@ -137,7 +137,7 @@ def test_exact_budget_expires_inside_a_lower_bound_probe(monkeypatch):
         probes[-1][1] = True
         return order
 
-    monkeypatch.setattr(approx.time, "monotonic", monotonic)
+    monkeypatch.setattr(exact.time, "monotonic", monotonic)
     monkeypatch.setattr(approx, "_greedy_scatter", watched)
     with pytest.raises(UndeterminedError):
         exact_burning_number(path_graph(200_000), 1, time_budget=20.0)
@@ -171,6 +171,37 @@ def test_exact_budget_expires_while_growing_balls(monkeypatch):
         exact_burning_number(path_graph(50), 1, time_budget=10.0)
     assert growths == [False]
     assert clock["now"] == 11.0
+
+
+def test_exact_budget_covers_the_radius_0_rows(monkeypatch):
+    # a patched clock stands still until the lower bound is found, then ticks
+    # once per read; the radius-0 rows (n masks of up to n bits) are made one
+    # vertex at a time under the clock, so the budget runs out on the
+    # eleventh row, long before all of them hold 28.7 MB on this path
+    clock = {"now": 0.0, "ticking": False}
+    search = exact._search_lower_bound
+
+    def monotonic():
+        if clock["ticking"]:
+            clock["now"] += 1.0
+        return clock["now"]
+
+    def watched(*args):
+        found = search(*args)
+        clock["ticking"] = True
+        return found
+
+    monkeypatch.setattr(exact.time, "monotonic", monotonic)
+    monkeypatch.setattr(exact, "_search_lower_bound", watched)
+    g = path_graph(20_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UndeterminedError):
+            exact_burning_number(g, 1, time_budget=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
 
 
 def test_schedule_sources_budget_expires_inside_the_first_bfs(monkeypatch):
@@ -354,12 +385,14 @@ def test_schedule_sources_memory_on_a_long_path():
 def test_schedule_sources_memory_with_rounds_past_every_eccentricity():
     # every ball on the 7-cycle is whole at radius 3, so a round budget of
     # 10^5 adds no mask and no entry per round tried; keeping one per round
-    # peaked at 18.7 MB.  The search still tries every round for the first
-    # source before it answers infeasible
+    # peaked at 18.7 MB.  The search tries no round past the number of
+    # sources, so it answers infeasible at once even at 10^12 rounds, well
+    # inside a budget that trying every round would exhaust
     inst = SchedulingInstance(cycle_graph(7), (0, 1), 1)
     tracemalloc.start()
     try:
         assert schedule_sources(inst, 10**5) is None
+        assert schedule_sources(inst, 10**12, time_budget=5) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -230,6 +230,8 @@ HUGE_FLAGS = {
     "schedule-k": ["schedule", "--graph", "{graph}", "--sources=0,3", "--k={huge}"],
     "schedule-max-rounds": ["schedule", "--graph", "{graph}", "--sources=0,3", "--max-rounds={huge}"],
     "schedule-max-rounds-p3": ["schedule", "--graph", "{p3}", "--sources=1", "--max-rounds={huge}"],
+    "schedule-max-rounds-adjacent": ["schedule", "--graph", "{graph}", "--sources=0,1",
+                                     "--max-rounds={huge}"],
     "gen-vc-k": ["gen-vc", "--graph", "{p3}", "--q=1", "--k={huge}", "--out", "{out}"],
     "gen-vc-q": ["gen-vc", "--graph", "{p3}", "--q={huge}", "--out", "{out}"],
     "path-number-n": ["path-number", "--n={huge}"],
