@@ -14,7 +14,9 @@ on stderr, before the ``elapsed_ms`` line every run ends with:
   be written, a ``--max-rounds`` below 1 or a negative or NaN
   ``--time-budget`` (argparse's errors exit 2 too);
 - 3 ``limit``: an ``UndeterminedError``, i.e. ``--max-rounds`` or
-  ``--time-budget`` ran out.
+  ``--time-budget`` ran out, or a ``MemoryError`` in any phase (``error
+  limit out of memory``), e.g. a graph header claiming more vertices than
+  the process may allocate.
 """
 
 from __future__ import annotations
@@ -185,8 +187,9 @@ def _cmd_schedule(args) -> None:
     g = _read("graph", args.graph, parse_graph)
     sources = _parse_ints(args.sources, "source")
     inst = SchedulingInstance(g, tuple(sources), args.k)
-    assignment = schedule_sources(inst, rounds=args.max_rounds, time_budget=args.time_budget)
-    rounds = args.max_rounds if args.max_rounds else -(-len(inst.sources) // args.k)
+    # the budget printed is the one solved: ceil(#sources / k) by default
+    rounds = -(-len(inst.sources) // args.k) if args.max_rounds is None else args.max_rounds
+    assignment = schedule_sources(inst, rounds=rounds, time_budget=args.time_budget)
     print("command", "schedule")
     print("graph", args.graph)
     print("k", args.k)
@@ -407,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
         args.fn(args)
     except UndeterminedError as e:  # a RuntimeError, so it is caught first
         print(f"error limit {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error limit out of memory", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error parse {e}", file=sys.stderr)

@@ -320,17 +320,17 @@ def ordering_feasible(
 
 
 def _ball_table(
-    g: Graph, srcs: list[int], rounds: int, gap: list[list[int]], slot: bytearray,
+    g: Graph, srcs: list[int], rounds: int, near: list[list[tuple[int, int]]], slot: bytearray,
     tick: Callable[[], None] | None,
 ) -> list[list[int]] | None:
     """The masks of every radius of every source, by one bit-parallel BFS per
     source cut at rounds - 1 hops: masks[d] holds the vertices within d hops,
     and the last one is the whole ball.  Each level ORs in the neighbour
-    masks of the frontier's bits, its mask is the next entry, and the
-    sources among its new bits fill the source's ``gap`` row through
-    ``slot``.  A vertex's neighbour mask is built when a search first
-    reaches it, so the work follows the vertices reached, not n.  ``tick``
-    is called at each level.
+    masks of the frontier's bits, its mask is the next entry, and each
+    later source j among its new bits, d hops from the i-th, gets
+    (i, d - 1) in ``near[j]`` through ``slot``.  A vertex's neighbour mask
+    is built when a search first reaches it, so the work follows the
+    vertices reached, not n.  ``tick`` is called at each level.
 
     Returns None once a search runs deeper than ``_FREE_RADII`` hops and
     its masks take more than ``_TABLE_BYTES_PER_VISIT`` bytes per vertex
@@ -342,7 +342,8 @@ def _ball_table(
     nbr: list[int | None] = [None] * n  # nbr[v] = the mask of v's neighbours, once built
     at_source = sum(map((1).__lshift__, srcs))
     table = []
-    for s, row in zip(srcs, gap):
+    for i, s in enumerate(srcs):
+        later = at_source >> s + 1 << s + 1  # the sources after s: srcs ascend
         reached = frontier = 1 << s
         masks = [reached]
         for d in range(1, rounds):
@@ -366,10 +367,10 @@ def _ball_table(
             masks.append(reached)
             if d >= _FREE_RADII and (d + 1) * size > _TABLE_BYTES_PER_VISIT * reached.bit_count():
                 return None
-            hit = frontier & at_source  # the sources d hops away
+            hit = frontier & later  # the later sources d hops away
             while hit:
                 v = hit.bit_length() - 1
-                row[slot[v] - 1] = d
+                near[slot[v] - 1].append((i, d - 1))
                 hit ^= 1 << v
         table.append(masks)
     return table
@@ -392,13 +393,14 @@ def schedule_sources(
     round earlier, keeps each load, moves no two rounds apart and only
     grows balls, so the least witness uses only rounds 1..|S|.
 
-    One breadth-first search per source, cut at rounds - 1 hops, gives the
-    source's distances to the other sources and its eccentricity, past
-    which its ball grows no more.  ``ball(i, d)`` (the vertices within d
-    hops of the i-th source) and ``suffix(i, d)`` (the union of those
-    balls over sources i onwards) are bitmasks, their radius clamped to
-    that eccentricity (for ``suffix``, the largest among the sources it
-    unions), so a round budget far past every eccentricity adds no mask.
+    One breadth-first search per source, cut at rounds - 1 hops, lists the
+    later sources it reaches with their distances, and gives the source's
+    eccentricity, past which its ball grows no more.  ``ball(i, d)`` (the
+    vertices within d hops of the i-th source) and ``suffix(i, d)`` (the
+    union of those balls over sources i onwards) are bitmasks, their
+    radius clamped to that eccentricity (for ``suffix``, the largest among
+    the sources it unions), so a round budget far past every eccentricity
+    adds no mask.
     The balls are built one of two ways.  On graphs of at most
     ``_BIT_VERTICES`` vertices they are built up front by ``_ball_table``,
     a bit-parallel search whose levels are the masks of every radius, with
@@ -414,15 +416,20 @@ def schedule_sources(
     over the assigned (source, round) pairs.  After placing source i, with
     ``free`` the earliest round with spare capacity, the branch lives only
     if ``covered | suffix(i + 1, rounds - free)`` is every vertex (the
-    suffix term counts only while ``free <= rounds``).  Each node finds
-    ``first``, its earliest round with room, once, and tries no round
-    before it.  Every placement but one that fills ``first`` leaves
-    ``free == first``, so that suffix term is computed once per node; and
-    as the ball only shrinks while the round grows, the first such
-    placement the bound rules out ends the node's loop.  At a leaf these
-    tests are exact: fire starts only at sources, so with every ignition
-    valid each vertex burns at the least round plus distance over the
-    sources.  The returned witness is certified once by
+    suffix term counts only while ``free <= rounds``).  Each node is
+    handed ``first``, its earliest round with room, and tries no round
+    before it: the root's is 1, and a child's is its parent's ``free``,
+    so no node rescans the rounds' loads.  Every placement but one that
+    fills ``first`` leaves ``free == first``, so that suffix term is
+    computed once per node; and as the ball only shrinks while the round
+    grows, the first such placement the bound rules out ends the node's
+    loop.  A node bounds its rounds only by the earlier sources that the
+    searches reached, those within rounds - 1 hops: two rounds in
+    1..rounds differ by at most rounds - 1, so a pair rounds or more hops
+    apart bounds none, and on the SAT gadgets most pairs are that far.
+    At a leaf these tests are exact: fire starts only at sources, so with every
+    ignition valid each vertex burns at the least round plus distance over
+    the sources.  The returned witness is certified once by
     ``ordering_feasible``, which runs the round loop, and RuntimeError is
     raised should it disagree: no witness is returned unchecked.
 
@@ -444,17 +451,18 @@ def schedule_sources(
     k = inst.k
     full = (1 << n) - 1
 
-    # gap[i][j] = the hops between sources i and j (rounds when farther, a gap
-    # no two rounds in 1..rounds span), filled through slot[v] = 1 + the
+    # near[j] = (i, d - 1) for each earlier source i within d <= rounds - 1
+    # hops of the j-th, the pairs that bound its rounds (two rounds in
+    # 1..rounds never differ by rounds), filled through slot[v] = 1 + the
     # index of source v, 0 for any other vertex; ecc[i] = the radius past
     # which the i-th source's ball grows no more, its BFS cut at rounds - 1
     # hops; table[i][d] = the vertices within d hops of the i-th source,
     # when the masks of every radius are built up front by _ball_table
-    gap = [[rounds] * len(srcs) for _ in srcs]
+    near: list[list[tuple[int, int]]] = [[] for _ in srcs]
     slot = bytearray(n)
     for j, s in enumerate(srcs):
         slot[s] = j + 1
-    table = _ball_table(g, srcs, rounds, gap, slot, tick) if n <= _BIT_VERTICES else None
+    table = _ball_table(g, srcs, rounds, near, slot, tick) if n <= _BIT_VERTICES else None
 
     if table is not None:
         ecc = [len(masks) - 1 for masks in table]
@@ -464,13 +472,15 @@ def schedule_sources(
             return masks[d] if d < len(masks) else masks[-1]
     else:
         # each source's one _bfs: the vertices it reaches nearest first and
-        # their hop counts, the last of which is ecc[i]; the gaps a given-up
-        # table filled are true distances, written again here
+        # their hop counts, the last of which is ecc[i]; near is filled
+        # afresh, as a given-up table may have filled part of it
         found = [_bfs(g, [s], rounds - 1, tick=tick) for s in srcs]
         ecc = [hop[-1] for _, hop in found]
-        for (at, hop), row in zip(found, gap):
+        near = [[] for _ in srcs]
+        for i, (at, hop) in enumerate(found):
             for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
-                row[slot[v] - 1] = d
+                if slot[v] > i + 1:  # a later source
+                    near[slot[v] - 1].append((i, d - 1))
         built: list[dict[int, int]] = [{} for _ in srcs]
         size = (n + 7) // 8
 
@@ -516,21 +526,25 @@ def schedule_sources(
 
     capacity = [0] * (len(srcs) + 2)  # sources per round: first <= |S|, free <= |S| + 1
     when: list[int] = []  # when[j] = round of source j, for the sources placed so far
+    top = min(rounds, len(srcs))  # the last round tried: none past |S| is needed
 
-    def place(i: int, covered: int) -> bool:
+    def place(i: int, covered: int, first: int) -> bool:
+        # first = the earliest round with room: every round before it is full
         if tick is not None:
             tick()
         if i == len(srcs):
             return True  # covered == full, or the bound would have cut this branch
-        first = 1  # the earliest round with room: every round before it is full
-        while capacity[first] >= k:
-            first += 1
         if first > rounds:
             return False
         # the later of two sources d hops apart burns before its round
         # unless their rounds differ by less than d
-        lo = max([first] + [rp - d + 1 for d, rp in zip(gap[i], when)])
-        hi = min([rounds, len(srcs)] + [rp + d - 1 for d, rp in zip(gap[i], when)])
+        lo, hi = first, top
+        for j, span in near[i]:
+            rp = when[j]
+            if rp - span > lo:
+                lo = rp - span
+            if rp + span < hi:
+                hi = rp + span
         # a placement that leaves room at first keeps the bound's suffix term
         later = suffix(i + 1, rounds - first)
         for r in range(lo, hi + 1):
@@ -538,6 +552,7 @@ def schedule_sources(
             if used >= k:
                 continue
             now = covered | ball(i, rounds - r)
+            free = first
             if r == first and used == k - 1:
                 free = r + 1  # placing here fills first: the bound moves on
                 while capacity[free] >= k:
@@ -548,13 +563,13 @@ def schedule_sources(
                 break  # the ball only shrinks as r grows, and later stays put
             when.append(r)
             capacity[r] = used + 1
-            if place(i + 1, now):
+            if place(i + 1, now, free):
                 return True
             capacity[r] = used
             when.pop()
         return False
 
-    if not place(0, 0):
+    if not place(0, 0, 1):
         return None
     witness = dict(zip(srcs, when))
     ok, why = ordering_feasible(inst, witness, rounds, tick)

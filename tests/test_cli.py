@@ -134,6 +134,25 @@ def test_schedule_command(capsys, tmp_path):
     assert err.splitlines()[0].startswith("error limit")
 
 
+def test_schedule_prints_the_budget_it_solves(capsys, p4, monkeypatch):
+    # ceil(#sources / k) by default, else --max-rounds: the same number goes
+    # to the solver and to the round_budget line
+    solved = []
+
+    def recorded(inst, rounds, time_budget):
+        solved.append(rounds)
+        return None
+
+    monkeypatch.setattr("burnkit.cli.schedule_sources", recorded)
+    for argv, budget in ((["--sources", "0,1,3", "--k", 2], 2), (["--sources", "0,3"], 2),
+                         (["--sources", "0", "--k", 5], 1),
+                         (["--sources", "0,3", "--max-rounds", 7], 7)):
+        code, out, _ = run(capsys, "schedule", "--graph", p4, *argv)
+        assert code == 0
+        assert parse_report(out)["round_budget"] == [str(budget)]
+        assert solved.pop() == budget
+
+
 def test_an_infinite_time_budget_sets_no_limit(capsys, p4):
     code, out, _ = run(capsys, "exact", "--graph", p4, "--time-budget", "inf")
     assert code == 0
@@ -499,6 +518,15 @@ def test_exit_routes(capsys, tmp_path, p4, monkeypatch):
     code, out, err = run(capsys, "approx", "--graph", p4)
     assert (code, out) == (1, "")
     assert err.splitlines()[0] == "error invalid certification failed"
+
+    def starved(g, k):
+        raise MemoryError
+
+    monkeypatch.setattr("burnkit.cli.approx_schedule", starved)
+    code, out, err = run(capsys, "approx", "--graph", p4)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[0] == "error limit out of memory"
+    assert err.splitlines()[-1].startswith("elapsed_ms ")
 
     undecodable = tmp_path / "latin1.txt"
     undecodable.write_bytes(b"4 3\n0 1\n\xff\n")

@@ -255,6 +255,28 @@ def test_schedule_sources_matches_reference_on_wider_instances():
     assert all(verdicts[group, verdict] for group in (6, 7, 3) for verdict in (True, False))
 
 
+@pytest.mark.parametrize("bit_vertices", [10**9, 0], ids=["bit-table", "bfs-lists"])
+def test_schedule_sources_reads_the_pairs_within_rounds_minus_one_hops(monkeypatch, bit_vertices):
+    # a node reads only the earlier sources within rounds - 1 hops: on these
+    # paths a pair exactly rounds - 1 hops apart binds the least witness, and
+    # one exactly rounds hops apart, which no two rounds in 1..rounds span,
+    # is left out; the search dropping the first pair would return an
+    # ordering the certifying pass rejects
+    monkeypatch.setattr("burnkit.exact._BIT_VERTICES", bit_vertices)
+    cases = [
+        # rounds 4: 4-7 is 3 hops (binds), 0-4 is 4 hops (does not)
+        (8, (0, 2, 4, 7), 1, 4, {0: 4, 2: 3, 4: 2, 7: 1}),
+        # rounds 3: 1-3 and 4-6 are 2 hops (bind), 0-3, 1-4 and 3-6 are 3
+        (8, (0, 1, 3, 4, 6), 2, 3, {0: 3, 1: 3, 3: 2, 4: 2, 6: 1}),
+        # rounds 2: 0-1 and 1-2 are 1 hop (bind), 0-2 is 2 hops (does not)
+        (3, (0, 1, 2), 2, 2, None),
+    ]
+    for n, sources, k, rounds, want in cases:
+        inst = SchedulingInstance(path_graph(n), sources, k)
+        assert reference_schedule_sources(inst, rounds) == want
+        assert schedule_sources(inst, rounds) == want, (sources, k, rounds)
+
+
 def reference_ordering_feasible(inst, ordering, rounds):
     """The ordering judge by distance formulas instead of simulation: a
     source at round r is burnt at ignition when an earlier source at rp sits

@@ -7,8 +7,8 @@ flag values that argparse accepts, nan and inf included.  A sweep then
 swaps each top-level sidecar field in turn.  Graphs stay at a few dozen
 vertices and every value stays small, so every trial is cheap and nothing
 allocates near ``MAX_VERTICES``.  Last, each numeric flag is set to 10**12
-on the same small inputs, each run in a child process under a cap on its
-address space.
+on the same small inputs, and an 11-byte graph claims 3 * 10**7 vertices,
+each run in a child process under a cap on its address space.
 """
 
 import json
@@ -39,7 +39,8 @@ def inputs(tmp_path, capsys):
     files = {"graph": "7 7\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n0 6\n",
              "p3": "3 2\n0 1\n1 2\n",
              "schedule": "1 3\n0\n4\n2\n",
-             "cnf": "p cnf 2 2\n1 2 -1 0\n-2 1 2 0\n"}
+             "cnf": "p cnf 2 2\n1 2 -1 0\n-2 1 2 0\n",
+             "huge-header": "30000000 0\n"}
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.txt"
@@ -238,10 +239,15 @@ HUGE_FLAGS = {
     "path-number-k": ["path-number", "--n=5", "--k={huge}"],
     "path-schedule-n": ["path-schedule", "--n={huge}"],
     "path-schedule-k": ["path-schedule", "--n=5", "--k={huge}"],
+    # no flag, but a header within MAX_VERTICES whose graph outgrows the cap:
+    # out of memory is a limit (exit 3), not a traceback
+    "lower-bound-huge-header": ["lower-bound", "--graph", "{huge_header}"],
+    "approx-huge-header": ["approx", "--graph", "{huge_header}"],
 }
-# The child's address space: every case above holds at 10**6 under it, the
+# The child's address space: every flag above holds at 10**6 under it, the
 # largest (path-schedule --n) peaking at 205 MB, while a structure sized by
-# 10**12 fails at once instead of paging the machine.
+# 10**12, or by the header's 3 * 10**7 vertices, fails at once instead of
+# paging the machine.
 CHILD_BYTES = 1 << 30
 
 
@@ -253,7 +259,8 @@ def _cap_address_space() -> None:
 def test_huge_flags_keep_the_exit_contract(inputs, tmp_path, argv):
     # always in a capped child process: in process, a flag that does size
     # something by 10**12 would take the test run's memory with it
-    argv = [a.format(graph=inputs["graph"], p3=inputs["p3"], out=tmp_path / "gen", huge=HUGE)
+    argv = [a.format(graph=inputs["graph"], p3=inputs["p3"], huge_header=inputs["huge-header"],
+                     out=tmp_path / "gen", huge=HUGE)
             for a in argv]
     env = {**os.environ, "PYTHONPATH": str(Path(burnkit.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "burnkit", *argv], capture_output=True,
