@@ -25,7 +25,6 @@ from .exact import (
     SchedulingInstance,
     UndeterminedError,
     exact_burning_number,
-    naive_oracle,
     ordering_feasible,
     schedule_sources,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "ignition_list",
     "lower_bound",
     "mis_power",
-    "naive_oracle",
     "optimal_path_schedule",
     "ordering_feasible",
     "original_edges",

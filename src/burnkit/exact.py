@@ -13,7 +13,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, compress
 from typing import Callable
 
 from .approx import _search_lower_bound
@@ -225,63 +225,6 @@ def exact_burning_number(
     return depth, witness
 
 
-def naive_oracle(g: Graph, k: int, rounds: int) -> bool:
-    """Brute force: does any strict schedule finish within ``rounds`` rounds?
-
-    Enumerates every batch choice of size min(k, available) round by round
-    through the real simulation state.  Batch order within a round does not
-    affect burning, so unordered combinations lose nothing.  Enforced to
-    n <= 9; this is the independent yardstick the exact solver is measured
-    against.
-    """
-    if g.n > 9:
-        raise ValueError("naive oracle is restricted to n <= 9")
-    if g.n == 0:
-        return True
-    if k < 1 or rounds < 1:
-        raise ValueError("k and rounds must be positive")
-    n = g.n
-    full = (1 << n) - 1
-    neighbor_mask = [0] * n
-    for v in range(n):
-        for u in g.adj[v]:
-            neighbor_mask[v] |= 1 << u
-    memo: dict[tuple[int, int], bool] = {}
-
-    def step(mask: int, t: int) -> bool:
-        if mask == full:
-            return True
-        if t > rounds:
-            return False
-        key = (mask, t)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        spread = mask
-        probe = mask
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            spread |= neighbor_mask[v]
-            probe &= probe - 1
-        avail = [v for v in range(n) if not (spread >> v) & 1]
-        take = min(k, len(avail))
-        ok = False
-        if not avail:
-            ok = spread == full
-        else:
-            for batch in combinations(avail, take):
-                nxt = spread
-                for v in batch:
-                    nxt |= 1 << v
-                if step(nxt, t + 1):
-                    ok = True
-                    break
-        memo[key] = ok
-        return ok
-
-    return step(0, 1)
-
-
 def ordering_feasible(
     inst: SchedulingInstance, ordering: dict[int, int], rounds: int,
     tick: Callable[[], None] | None = None,
@@ -401,17 +344,20 @@ def schedule_sources(
     radius clamped to that eccentricity (for ``suffix``, the largest among
     the sources it unions), so a round budget far past every eccentricity
     adds no mask.
-    The balls are built one of two ways.  On graphs of at most
-    ``_BIT_VERTICES`` vertices they are built up front by ``_ball_table``,
-    a bit-parallel search whose levels are the masks of every radius, with
-    no list per vertex.  A search deeper than ``_FREE_RADII`` hops whose
-    masks take more than ``_TABLE_BYTES_PER_VISIT`` bytes per vertex it
-    has reached (a long path or ladder, many thin levels) makes it give
-    the table up.  Then, and on larger graphs, each source's search is the
-    package's shared ``graph._bfs``, which lists the vertices it reaches
-    in visit order with their hop counts, and a ball is built on first
-    use, mostly from the one a radius larger, less that one's outer BFS
-    layer.
+    The masks are built one of two ways, into one table that ``ball``
+    reads.  On graphs of at most ``_BIT_VERTICES`` vertices they are built
+    by ``_ball_table``, a bit-parallel search whose levels are the masks of
+    every radius, with no list per vertex.  A search deeper than
+    ``_FREE_RADII`` hops whose masks take more than
+    ``_TABLE_BYTES_PER_VISIT`` bytes per vertex it has reached (a long path
+    or ladder, many thin levels) makes it give the table up.  Then, and on
+    larger graphs, each source's search is the package's shared
+    ``graph._bfs``, which lists the vertices it reaches in visit order with
+    their hop counts.  Right after it, this lists path fills one byte
+    buffer level by level, keeps the mask of each radius from
+    rounds - |S| - 1 (or the eccentricity, if smaller) up, and drops the
+    lists.  No smaller radius is read: the search places sources in rounds
+    up to |S|, and its bound looks one round further.
     The search carries ``covered``, the union of ``ball(i, rounds - r)``
     over the assigned (source, round) pairs.  After placing source i, with
     ``free`` the earliest round with spare capacity, the branch lives only
@@ -435,8 +381,8 @@ def schedule_sources(
 
     Raises UndeterminedError when ``time_budget`` (seconds) runs out, with
     the clock read at every search node, at each level of a ball search,
-    at each ball built on first use and at each round of the certifying
-    pass, and ValueError before any work if it is < 0 or NaN.
+    at each radius the lists path makes and at each round of the
+    certifying pass, and ValueError before any work if it is < 0 or NaN.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:
@@ -454,61 +400,51 @@ def schedule_sources(
     # near[j] = (i, d - 1) for each earlier source i within d <= rounds - 1
     # hops of the j-th, the pairs that bound its rounds (two rounds in
     # 1..rounds never differ by rounds), filled through slot[v] = 1 + the
-    # index of source v, 0 for any other vertex; ecc[i] = the radius past
-    # which the i-th source's ball grows no more, its BFS cut at rounds - 1
-    # hops; table[i][d] = the vertices within d hops of the i-th source,
-    # when the masks of every radius are built up front by _ball_table
+    # index of source v, 0 for any other vertex; table[i][d - low] = the
+    # vertices within d hops of the i-th source, from radius low up to where
+    # its ball, cut at rounds - 1 hops, grows no more
     near: list[list[tuple[int, int]]] = [[] for _ in srcs]
     slot = bytearray(n)
     for j, s in enumerate(srcs):
         slot[s] = j + 1
     table = _ball_table(g, srcs, rounds, near, slot, tick) if n <= _BIT_VERTICES else None
 
-    if table is not None:
-        ecc = [len(masks) - 1 for masks in table]
-
-        def ball(i: int, d: int) -> int:
-            masks = table[i]
-            return masks[d] if d < len(masks) else masks[-1]
-    else:
-        # each source's one _bfs: the vertices it reaches nearest first and
-        # their hop counts, the last of which is ecc[i]; near is filled
-        # afresh, as a given-up table may have filled part of it
-        found = [_bfs(g, [s], rounds - 1, tick=tick) for s in srcs]
-        ecc = [hop[-1] for _, hop in found]
+    low = 0  # the bit table holds every radius
+    if table is None:
+        # each source's one _bfs lists the vertices it reaches nearest first
+        # with their hop counts, the last its eccentricity; its masks of the
+        # radii the search reads are snapshots of one byte buffer filled
+        # level by level, and the lists go once they are made.  near is
+        # filled afresh, as a given-up table may have filled part of it
+        low = max(rounds - len(srcs) - 1, 0)  # the search reads no smaller radius
         near = [[] for _ in srcs]
-        for i, (at, hop) in enumerate(found):
+        table = []
+        for i, s in enumerate(srcs):
+            at, hop = _bfs(g, [s], rounds - 1, tick=tick)
             for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
                 if slot[v] > i + 1:  # a later source
                     near[slot[v] - 1].append((i, d - 1))
-        built: list[dict[int, int]] = [{} for _ in srcs]
-        size = (n + 7) // 8
-
-        def bits(vertices: list[int]) -> int:
-            # set bits in a byte buffer: OR-ing one-bit ints in one by one
-            # would copy the whole mask per vertex
-            buf = bytearray(size)
-            for v in vertices:
-                buf[v >> 3] |= 1 << (v & 7)
-            return int.from_bytes(buf, "little")
-
-        def ball(i: int, d: int) -> int:
-            d = min(d, ecc[i])
-            row = built[i]
-            mask = row.get(d)
-            if mask is None:
+            buf = bytearray((n + 7) // 8)  # OR-ing one-bit ints would copy the mask per vertex
+            masks = []
+            cut = 0
+            for d in range(min(low, hop[-1]), hop[-1] + 1):  # a ball whole below low is kept once
                 if tick is not None:
                     tick()
-                # the search asks for each source's radii largest first, so
-                # ball(i, d + 1) is mostly built: drop its outer BFS layer
-                at, hop = found[i]
-                cut = bisect_right(hop, d)
-                if d + 1 in row:
-                    mask = row[d + 1] ^ bits(at[cut: bisect_right(hop, d + 1, cut)])
-                else:
-                    mask = bits(at[:cut])
-                row[d] = mask
-            return mask
+                end = bisect_right(hop, d, cut)
+                for v in at[cut:end]:
+                    buf[v >> 3] |= 1 << (v & 7)
+                cut = end
+                masks.append(int.from_bytes(buf, "little"))
+            table.append(masks)
+            del at, hop  # before the next source's search
+    # ecc[i] = a radius past which the i-th source's ball grows no more, the
+    # last its row holds: never below low, so suffix reads no smaller radius
+    ecc = [low + len(masks) - 1 for masks in table]
+
+    def ball(i: int, d: int) -> int:
+        masks = table[i]
+        d -= low
+        return masks[d] if d < len(masks) else masks[-1]
 
     # reach[i] = the largest eccentricity among sources i onwards
     reach = [*accumulate(reversed(ecc), max)][::-1] + [0]

@@ -6,8 +6,8 @@ algorithm in this package reads adjacency lists without mutating them,
 so sharing a graph across threads is safe.
 
 Every plain distance query in the package (``bfs_distances``, components,
-the fixed-source scheduler's balls when it builds them on demand) runs on
-the one search ``_bfs``.  On graphs of at most ``exact._BIT_VERTICES``
+the fixed-source scheduler's balls on its lists path) runs on the one
+search ``_bfs``.  On graphs of at most ``exact._BIT_VERTICES``
 vertices the scheduler first runs a bit-parallel search of its own, whose
 levels are its ball masks, and turns to ``_bfs`` if a deep search's
 levels are too thin for them.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -137,8 +138,6 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
 
 def brute_force_min_cover(g: Graph) -> list[int]:
     """Smallest vertex cover by subset enumeration (test-size graphs only)."""
-    from itertools import combinations
-
     edges = list(g.edges())
     for size in range(g.n + 1):
         for cand in combinations(range(g.n), size):
@@ -146,3 +145,60 @@ def brute_force_min_cover(g: Graph) -> list[int]:
             if all(u in chosen or v in chosen for u, v in edges):
                 return sorted(chosen)
     raise AssertionError("unreachable")
+
+
+def naive_oracle(g: Graph, k: int, rounds: int) -> bool:
+    """Brute force: does any strict schedule finish within ``rounds`` rounds?
+
+    Enumerates every batch choice of size min(k, available) round by round
+    through the real simulation state.  Batch order within a round does not
+    affect burning, so unordered combinations lose nothing.  Enforced to
+    n <= 9; this is the independent yardstick the exact solver is measured
+    against.
+    """
+    if g.n > 9:
+        raise ValueError("naive oracle is restricted to n <= 9")
+    if g.n == 0:
+        return True
+    if k < 1 or rounds < 1:
+        raise ValueError("k and rounds must be positive")
+    n = g.n
+    full = (1 << n) - 1
+    neighbor_mask = [0] * n
+    for v in range(n):
+        for u in g.adj[v]:
+            neighbor_mask[v] |= 1 << u
+    memo: dict[tuple[int, int], bool] = {}
+
+    def step(mask: int, t: int) -> bool:
+        if mask == full:
+            return True
+        if t > rounds:
+            return False
+        key = (mask, t)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        spread = mask
+        probe = mask
+        while probe:
+            v = (probe & -probe).bit_length() - 1
+            spread |= neighbor_mask[v]
+            probe &= probe - 1
+        avail = [v for v in range(n) if not (spread >> v) & 1]
+        take = min(k, len(avail))
+        ok = False
+        if not avail:
+            ok = spread == full
+        else:
+            for batch in combinations(avail, take):
+                nxt = spread
+                for v in batch:
+                    nxt |= 1 << v
+                if step(nxt, t + 1):
+                    ok = True
+                    break
+        memo[key] = ok
+        return ok
+
+    return step(0, 1)

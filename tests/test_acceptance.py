@@ -21,7 +21,6 @@ from burnkit import (
     graph_from_edges,
     grid_graph,
     lower_bound,
-    naive_oracle,
     optimal_path_schedule,
     path_burning_number,
     path_graph,
@@ -34,7 +33,7 @@ from burnkit import (
     vc_to_schedule,
 )
 
-from .strategies import brute_force_min_cover, random_connected_graph, random_graph
+from .strategies import brute_force_min_cover, naive_oracle, random_connected_graph, random_graph
 
 
 def _report(number, name, detail):

@@ -285,6 +285,19 @@ def test_pad_rejects_ignition_violations():
         pad_schedule(path_graph(4), Schedule(1, [[0], [1]]))
 
 
+def test_pad_drops_an_ignition_its_own_padding_burns():
+    # the input has no ignition violation, so the check pass lets it
+    # through; fire from the padded vertex 0 reaches 1 before round 3, and
+    # the pad pass drops 1.  So a violation the pad pass meets is not one
+    # of the input's: pad_schedule cannot read them from its own pass
+    g = path_graph(4)
+    s = Schedule(1, [[], [], [1]])
+    assert simulate(g, s, strict=False).violations == []
+    padded = pad_schedule(g, s)
+    assert padded.rounds == [[0], [2]]
+    assert simulate(g, padded).valid
+
+
 def test_pad_steals_later_scheduled_when_forced():
     # four isolated vertices, everything scheduled late: strictness pulls
     # the later batches forward

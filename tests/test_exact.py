@@ -19,7 +19,6 @@ from burnkit import (
     exact_burning_number,
     graph_from_edges,
     grid_graph,
-    naive_oracle,
     ordering_feasible,
     path_burning_number,
     path_graph,
@@ -27,7 +26,7 @@ from burnkit import (
     simulate,
 )
 
-from .strategies import graphs, random_connected_graph, random_graph
+from .strategies import graphs, naive_oracle, random_connected_graph, random_graph
 
 
 def naive_threshold(g, k):
@@ -369,9 +368,10 @@ def test_schedule_sources_certifies_its_witness(monkeypatch):
 
 
 def test_schedule_sources_memory_on_a_long_path():
-    # building only the masks the search asks for peaks near 3.3 MB on this
-    # path; growing every source's masks radius by radius peaks near 19 MB,
-    # a cost that grows with the square of the path length
+    # keeping only the radii the search reads, from rounds - |S| - 1 up,
+    # peaks near 0.6 MB on this path (1.7 MB when each source's BFS lists
+    # were kept to the end); growing every source's masks radius by radius
+    # peaks near 19 MB, a cost that grows with the square of the path length
     inst = SchedulingInstance(path_graph(8000), (0, 4000, 7999), 1)
     tracemalloc.start()
     try:
@@ -380,6 +380,20 @@ def test_schedule_sources_memory_on_a_long_path():
     finally:
         tracemalloc.stop()
     assert peak <= 6.6e6, peak
+
+
+def test_schedule_sources_memory_on_a_grid_past_the_bit_table():
+    # each source's masks are made right after its BFS, and its lists are
+    # dropped before the next search: this peaks near 4.4 MB, where keeping
+    # every source's BFS lists until the search ends peaked near 14.7 MB
+    inst = SchedulingInstance(grid_graph(300, 300), (0, 299, 89700, 89999), 1)
+    tracemalloc.start()
+    try:
+        assert schedule_sources(inst, 600) == {0: 1, 299: 2, 89700: 3, 89999: 4}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9e6, peak
 
 
 def test_schedule_sources_memory_with_rounds_past_every_eccentricity():
@@ -400,11 +414,12 @@ def test_schedule_sources_memory_with_rounds_past_every_eccentricity():
 
 
 def test_schedule_sources_mask_paths_agree(monkeypatch):
-    # the masks are built up front by a bit-parallel BFS on graphs within a
-    # vertex bound, else on demand from BFS lists (the only path that
-    # bisects them); forcing each side gives the same witnesses, round
-    # budgets past the eccentricities, a budget of one round, disconnected
-    # graphs and sources that cannot reach each other included
+    # the masks are built by a bit-parallel BFS on graphs within a vertex
+    # bound, else from BFS lists (the only path that bisects them), which
+    # keep only the radii from rounds - |S| - 1 up; forcing each side gives
+    # the same witnesses, round budgets past the eccentricities, a budget
+    # of one round, disconnected graphs and sources that cannot reach each
+    # other included
     bisects = []
 
     def counted(*args):
@@ -439,6 +454,13 @@ def test_schedule_sources_mask_paths_agree(monkeypatch):
                           (graph_from_edges(3, []), (0, 1, 2), 3), (path_graph(3), (0, 2), 2),
                           (apart, (0, 1, 2, 3, 4, 5, 6, 7), 8)]:
         cases.append((SchedulingInstance(g, sources, k), 1))
+    # rounds - |S| - 1 > 0: each row has a source whose eccentricity (its
+    # BFS cut at rounds - 1 hops) is below that radius, kept as one whole
+    # ball, and one whose eccentricity is above it; two rows are feasible
+    # and two, with adjacent sources, are not
+    for n, sources, k, rounds in [(12, (0, 5), 1, 10), (14, (0, 7, 13), 2, 12),
+                                  (8, (0, 1, 2), 1, 10), (8, (0, 1, 2), 2, 10)]:
+        cases.append((SchedulingInstance(path_graph(n), sources, k), rounds))
     verdicts = set()
     for inst, rounds in cases:
         got = {}
