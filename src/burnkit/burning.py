@@ -71,15 +71,16 @@ class BurnReport:
 
 
 def validate_schedule(g: Graph, s: Schedule) -> None:
-    """Reject structurally bad schedules (raises ScheduleError)."""
-    if not isinstance(s.k, int) or s.k < 1:
+    """Reject structurally bad schedules (raises ScheduleError).  k and every
+    vertex id must be ints; a bool is not one."""
+    if type(s.k) is not int or s.k < 1:
         raise ScheduleError(f"spread factor must be a positive integer, got {s.k!r}")
     seen: set[int] = set()
     for r, batch in enumerate(s.rounds, start=1):
         if len(batch) > s.k:
             raise ScheduleError(f"round {r}: batch of {len(batch)} exceeds k={s.k}")
         for v in batch:
-            if not isinstance(v, int) or not (0 <= v < g.n):
+            if type(v) is not int or not (0 <= v < g.n):
                 raise ScheduleError(f"round {r}: invalid vertex id {v!r}")
             if v in seen:
                 raise ScheduleError(f"round {r}: vertex {v} ignited twice")

@@ -30,16 +30,15 @@ class SchedulingInstance:
     k: int
 
     def __post_init__(self):
+        for s in self.sources:  # before sorting, which a str next to an int breaks
+            if type(s) is not int or not (0 <= s < self.graph.n):
+                raise ValueError(f"invalid source id {s!r}")
         srcs = sorted(set(self.sources))
         if len(srcs) != len(self.sources):
             raise ValueError("sources must be distinct")
         if not srcs:
             raise ValueError("need at least one source")
-        for s in srcs:
-            if not isinstance(s, int) or not (0 <= s < self.graph.n):
-                raise ValueError(f"invalid source id {s!r}")
-        if self.k < 1:
-            raise ValueError("spread factor must be positive")
+        _positive(self.k, "spread factor")
         self.sources = tuple(srcs)
 
 
@@ -54,20 +53,9 @@ a 40x40 grid ran about as fast either way, a 45x45 one 11% slower by the
 bit table; random connected graphs crossed near 6000 vertices."""
 
 _TABLE_BYTES_PER_VISIT = 16
-"""``schedule_sources``' bit table gives up on a search past
-``_FREE_RADII`` hops whose masks take more than this many bytes per vertex
-it has reached, which is what ``_bfs`` lists of those vertices take (two
-8-byte entries per vertex).  Such a search has many thin levels, each an
-n-bit mask, and building the few balls the search asks for costs less."""
-
-_FREE_RADII = 24
-"""The depth up to which ``schedule_sources``' bit table keeps a search's
-masks whatever their size.  A search's first levels are thin beside an
-n-bit mask (radius 0 holds the source alone), and a shallow search costs
-little either way.  24 is the most rounds a default budget asks for (24
-sources at k = 1), so every search under a default budget keeps its
-masks, as does every SAT gadget at its reduction's budget of two rounds
-per variable, whose searches are as thin as a path's for many hops."""
+"""Bytes the ``_bfs`` lists take per vertex a search reaches, an 8-byte slot
+for its id and one for its hop count: ``_ball_table``'s give-up rule weighs
+the masks it holds past the |S| + 1 the lists path keeps against this."""
 
 
 class UndeterminedError(RuntimeError):
@@ -88,6 +76,14 @@ def _ticker(time_budget: float | None) -> Callable[[], None] | None:
             raise UndeterminedError("time budget exhausted")
 
     return tick
+
+
+def _positive(x: int, what: str) -> None:
+    """Raise ValueError unless x is a positive int (a bool is not one)."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an int, got {x!r}")
+    if x < 1:
+        raise ValueError(f"{what} must be positive")
 
 
 def _grow_balls(g: Graph, ball: list[list[int]], tick: Callable[[], None] | None) -> None:
@@ -137,14 +133,16 @@ def exact_burning_number(
     3j raises RuntimeError, as does a witness that ``_pad_certified`` (the
     certified pad pass) rejects or finds not to end at L.
 
-    Raises UndeterminedError when ``max_rounds`` or ``time_budget`` runs
-    out first, the lower-bound probes and every ball row (radius 0
-    included) under the clock; never returns a wrong number.  A
-    ``max_rounds`` below 1 and a negative or NaN ``time_budget`` are
-    ValueErrors, raised before any work; an infinite budget sets no limit.
+    Raises UndeterminedError when ``max_rounds`` or ``time_budget`` runs out
+    first, the lower-bound probes and every ball row (radius 0 included)
+    under the clock; never returns a wrong number.  A ``k`` or
+    ``max_rounds`` not a positive int (a bool is not one) and a negative or
+    NaN ``time_budget`` are ValueErrors, raised before any work; an infinite
+    budget sets no limit.
     """
-    if max_rounds is not None and max_rounds < 1:
-        raise ValueError("round budget must be positive")
+    _positive(k, "spread factor")
+    if max_rounds is not None:
+        _positive(max_rounds, "round budget")
     tick = _ticker(time_budget)
     n = g.n
     full = (1 << n) - 1
@@ -231,7 +229,7 @@ def ordering_feasible(
 ) -> tuple[bool, str]:
     """Check a full round assignment: capacity, ignition order, coverage.
 
-    Every source must get a round in 1..rounds with at most k per round.
+    Every int source must get an int round in 1..rounds, at most k per round.
     That makes it a well-formed schedule, run as it is through the
     package's one round loop in its check mode, which reads only ignition
     violations and burn rounds here: every source must still be unburnt
@@ -241,13 +239,13 @@ def ordering_feasible(
     smallest vertex that burns late or never.  ``tick`` is called as each
     round of the loop starts, so a caller's time budget can stop it there.
     """
-    if sorted(ordering) != list(inst.sources):
+    if any(type(s) is not int for s in ordering) or sorted(ordering) != list(inst.sources):
         return False, "ordering must assign exactly the instance sources"
     # rounds past the last one assigned would add only batch-size violations
-    top = max((r for r in ordering.values() if 1 <= r <= rounds), default=0)
+    top = max((r for r in ordering.values() if type(r) is int and 1 <= r <= rounds), default=0)
     batches: list[list[int]] = [[] for _ in range(top)]
     for s, r in ordering.items():
-        if not (1 <= r <= rounds):
+        if type(r) is not int or not (1 <= r <= rounds):
             return False, f"source {s} assigned round {r} outside 1..{rounds}"
         batches[r - 1].append(s)
         if len(batches[r - 1]) > inst.k:
@@ -275,19 +273,20 @@ def _ball_table(
     is built when a search first reaches it, so the work follows the
     vertices reached, not n.  ``tick`` is called at each level.
 
-    Returns None once a search runs deeper than ``_FREE_RADII`` hops and
-    its masks take more than ``_TABLE_BYTES_PER_VISIT`` bytes per vertex
-    it has reached.
+    Returns None once a search runs deeper than |S| hops and the masks it
+    holds past the |S| + 1 that the lists path keeps take more than
+    ``_TABLE_BYTES_PER_VISIT`` bytes per vertex it has reached.
     """
     n = g.n
     size = (n + 7) // 8
     adj = g.adj
     nbr: list[int | None] = [None] * n  # nbr[v] = the mask of v's neighbours, once built
+    s = len(srcs)
     at_source = sum(map((1).__lshift__, srcs))
     table = []
-    for i, s in enumerate(srcs):
-        later = at_source >> s + 1 << s + 1  # the sources after s: srcs ascend
-        reached = frontier = 1 << s
+    for i, src in enumerate(srcs):
+        later = at_source >> src + 1 << src + 1  # the sources after src: srcs ascend
+        reached = frontier = 1 << src
         masks = [reached]
         for d in range(1, rounds):
             if tick is not None:
@@ -308,7 +307,7 @@ def _ball_table(
                 break
             reached = grown
             masks.append(reached)
-            if d >= _FREE_RADII and (d + 1) * size > _TABLE_BYTES_PER_VISIT * reached.bit_count():
+            if d > s and (d - s) * size > _TABLE_BYTES_PER_VISIT * reached.bit_count():
                 return None
             hit = frontier & later  # the later sources d hops away
             while hit:
@@ -347,10 +346,10 @@ def schedule_sources(
     The masks are built one of two ways, into one table that ``ball``
     reads.  On graphs of at most ``_BIT_VERTICES`` vertices they are built
     by ``_ball_table``, a bit-parallel search whose levels are the masks of
-    every radius, with no list per vertex.  A search deeper than
-    ``_FREE_RADII`` hops whose masks take more than
-    ``_TABLE_BYTES_PER_VISIT`` bytes per vertex it has reached (a long path
-    or ladder, many thin levels) makes it give the table up.  Then, and on
+    every radius, with no list per vertex.  A search deeper than |S| hops
+    whose masks past the |S| + 1 the lists path keeps take more than
+    ``_TABLE_BYTES_PER_VISIT`` bytes per vertex it reached (a long path or
+    ladder: many thin levels) gives the table up.  Then, and on
     larger graphs, each source's search is the package's shared
     ``graph._bfs``, which lists the vertices it reaches in visit order with
     their hop counts.  Right after it, this lists path fills one byte
@@ -380,17 +379,17 @@ def schedule_sources(
     raised should it disagree: no witness is returned unchecked.
 
     Raises UndeterminedError when ``time_budget`` (seconds) runs out, with
-    the clock read at every search node, at each level of a ball search,
-    at each radius the lists path makes and at each round of the
-    certifying pass, and ValueError before any work if it is < 0 or NaN.
+    the clock read at every search node, at each level of a ball search, at
+    each radius the lists path makes and at each round of the certifying
+    pass; ValueError before any work if it is < 0 or NaN, or if ``rounds``
+    is not a positive int.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:
         raise ValueError("schedule_sources is restricted to at most 24 sources")
     if rounds is None:
         rounds = -(-len(srcs) // inst.k)
-    if rounds < 1:
-        raise ValueError("round budget must be positive")
+    _positive(rounds, "round budget")
     tick = _ticker(time_budget)
     g = inst.graph
     n = g.n

@@ -138,6 +138,18 @@ def test_structural_rejections():
         simulate(g, Schedule(0, [[0]]))  # bad spread factor
 
 
+def test_a_schedule_of_bools_is_rejected():
+    # a bool is not an int, the rule the sidecar loaders apply: True would
+    # otherwise read as k = 1 and as vertex 1
+    g = path_graph(3)
+    with pytest.raises(ScheduleError, match="spread factor must be a positive integer, got True"):
+        simulate(g, Schedule(True, [[True], [False]]))
+    with pytest.raises(ScheduleError, match="round 1: invalid vertex id True"):
+        simulate(g, Schedule(1, [[True], [2]]))
+    with pytest.raises(ScheduleError, match="round 2: invalid vertex id False"):
+        simulate(g, Schedule(1, [[1], [False]]))
+
+
 def test_check_labels_accepts_burn_rounds():
     assert check_labels(path_graph(4), Schedule(1, [[1], [3]]), [2, 1, 2, 2]) == 2
     assert check_labels(graph_from_edges(0, []), Schedule(1, [[]]), []) == 0

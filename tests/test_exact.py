@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from bisect import bisect_right
@@ -306,6 +307,45 @@ def test_scheduling_instance_rejects_a_non_integer_source():
         SchedulingInstance(path_graph(5), (0, 4.0), 1)
 
 
+P5 = path_graph(5)
+P5_ENDS = SchedulingInstance(P5, (0, 4), 1)
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: SchedulingInstance(P5, (0, True), 1), "invalid source id True"),
+    (lambda: SchedulingInstance(P5, (0, "4"), 1), "invalid source id '4'"),
+    (lambda: SchedulingInstance(P5, (0, 4), True), "spread factor must be an int, got True"),
+    (lambda: ordering_feasible(P5_ENDS, {0: 1.0, 4: 2}, 2),
+     (False, "source 0 assigned round 1.0 outside 1..2")),
+    (lambda: ordering_feasible(P5_ENDS, {0: 2, 4: True}, 2),
+     (False, "source 4 assigned round True outside 1..2")),
+    (lambda: ordering_feasible(SchedulingInstance(P5, (0, 1), 1), {0: 1, True: 2}, 2),
+     (False, "ordering must assign exactly the instance sources")),
+    (lambda: ordering_feasible(P5_ENDS, {0: 1, "4": 2}, 2),
+     (False, "ordering must assign exactly the instance sources")),
+    (lambda: schedule_sources(P5_ENDS, 2.5), "round budget must be an int, got 2.5"),
+    (lambda: schedule_sources(P5_ENDS, True), "round budget must be an int, got True"),
+    (lambda: exact_burning_number(P5, 1, max_rounds=True), "round budget must be an int, got True"),
+    (lambda: exact_burning_number(P5, True), "spread factor must be an int, got True"),
+], ids=["source", "source-str", "k", "round-float", "round-bool", "key-bool", "key-str",
+        "schedule-rounds-float", "schedule-rounds-bool", "exact-max-rounds-bool", "exact-k-bool"])
+def test_scheduler_and_exact_inputs_must_be_ints_not_bools(monkeypatch, call, outcome):
+    # the sidecar loaders' rule: a bool is not an int, nor is a float or a
+    # str.  Each case is rejected before any work, or judged infeasible by
+    # ordering_feasible
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(exact, "_ball_table", no_work)
+    monkeypatch.setattr(exact, "_bfs", no_work)
+    monkeypatch.setattr(exact, "_search_lower_bound", no_work)
+    if isinstance(outcome, tuple):
+        assert call() == outcome
+    else:
+        with pytest.raises(ValueError, match=re.escape(outcome)):
+            call()
+
+
 def test_schedule_sources_examples():
     inst = SchedulingInstance(path_graph(5), (0, 4), 1)
     assert schedule_sources(inst, 3) == {0: 1, 4: 2}
@@ -461,6 +501,8 @@ def test_schedule_sources_mask_paths_agree(monkeypatch):
     for n, sources, k, rounds in [(12, (0, 5), 1, 10), (14, (0, 7, 13), 2, 12),
                                   (8, (0, 1, 2), 1, 10), (8, (0, 1, 2), 2, 10)]:
         cases.append((SchedulingInstance(path_graph(n), sources, k), rounds))
+    # the corners of a 40x40 grid, whose bit table gives up by default
+    cases.append((SchedulingInstance(grid_graph(40, 40), (0, 39, 1560, 1599), 1), 40))
     verdicts = set()
     for inst, rounds in cases:
         got = {}
@@ -478,11 +520,13 @@ def test_schedule_sources_mask_paths_agree(monkeypatch):
 
 
 def test_schedule_sources_gives_up_the_bit_table_on_deep_thin_searches(monkeypatch):
-    # a search deeper than 24 hops whose masks take more than 16 bytes per
-    # vertex it reached gives the bit table up, and the BFS lists take over:
-    # a long path's and a ladder's do.  A SAT gadget's searches at two
-    # rounds per variable keep it, and so do a grid's, 2 hops deep or 31
-    # hops deep, where they spread wide
+    # a search deeper than |S| hops whose masks past the |S| + 1 radii the
+    # lists path keeps take more than 16 bytes per vertex it reached gives
+    # the bit table up, and the BFS lists take over: a long path's and a
+    # ladder's do, and so does a 40x40 grid's from its corners, where an
+    # n-bit mask outweighs the few vertices reached by 7 hops.  A SAT
+    # gadget's searches at two rounds per variable keep it, and so do a
+    # 32x32 grid's, 2 hops deep or 31 hops deep, where they spread wide
     tables, searches = [], []
     table, bfs = exact._ball_table, exact._bfs
 
@@ -507,6 +551,7 @@ def test_schedule_sources_gives_up_the_bit_table_on_deep_thin_searches(monkeypat
         (SchedulingInstance(grid_graph(2, 512), (100, 500, 900), 1), 256, False, 3),
         (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 3, True, 0),
         (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 32, True, 0),
+        (SchedulingInstance(grid_graph(40, 40), (0, 39, 1560, 1599), 1), 40, False, 4),
     ]
     for inst, rounds, kept, listed in cases:
         tables.clear()

@@ -9,8 +9,10 @@ few dozen vertices and every value stays small, so every trial is cheap
 and nothing allocates near ``MAX_VERTICES``.  Last, each numeric flag is
 set to 10**12 on the same small inputs, the scheduler's round budget also
 on a 2000-vertex path (past ``exact._BIT_VERTICES``, so its BFS lists
-path runs), and an 11-byte graph claims 3 * 10**7 vertices, each run in a
-child process under a cap on its address space.
+path runs) and on a 1600-vertex one (``schedule-max-rounds-bits``: at
+``exact._BIT_VERTICES``, so the bit table starts and must give itself
+up), and an 11-byte graph claims 3 * 10**7 vertices, each run in a child
+process under a cap on its address space.
 """
 
 import json
@@ -43,7 +45,8 @@ def inputs(tmp_path, capsys):
              "schedule": "1 3\n0\n4\n2\n",
              "cnf": "p cnf 2 2\n1 2 -1 0\n-2 1 2 0\n",
              "huge-header": "30000000 0\n",
-             "long-path": "2000 1999\n" + "".join(f"{v} {v + 1}\n" for v in range(1999))}
+             "long-path": "2000 1999\n" + "".join(f"{v} {v + 1}\n" for v in range(1999)),
+             "bit-path": "1600 1599\n" + "".join(f"{v} {v + 1}\n" for v in range(1599))}
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.txt"
@@ -238,6 +241,8 @@ HUGE_FLAGS = {
                                      "--max-rounds={huge}"],
     "schedule-max-rounds-lists": ["schedule", "--graph", "{long_path}", "--sources=0,1999",
                                   "--max-rounds={huge}"],
+    "schedule-max-rounds-bits": ["schedule", "--graph", "{bit_path}", "--sources=0,1599",
+                                 "--max-rounds={huge}"],
     "gen-vc-k": ["gen-vc", "--graph", "{p3}", "--q=1", "--k={huge}", "--out", "{out}"],
     "gen-vc-q": ["gen-vc", "--graph", "{p3}", "--q={huge}", "--out", "{out}"],
     "path-number-n": ["path-number", "--n={huge}"],
@@ -265,7 +270,8 @@ def test_huge_flags_keep_the_exit_contract(inputs, tmp_path, argv):
     # always in a capped child process: in process, a flag that does size
     # something by 10**12 would take the test run's memory with it
     argv = [a.format(graph=inputs["graph"], p3=inputs["p3"], huge_header=inputs["huge-header"],
-                     long_path=inputs["long-path"], out=tmp_path / "gen", huge=HUGE)
+                     long_path=inputs["long-path"], bit_path=inputs["bit-path"],
+                     out=tmp_path / "gen", huge=HUGE)
             for a in argv]
     env = {**os.environ, "PYTHONPATH": str(Path(burnkit.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "burnkit", *argv], capture_output=True,
