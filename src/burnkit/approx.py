@@ -23,7 +23,7 @@ from math import log
 from typing import Callable
 
 from .burning import Schedule, _pad_certified
-from .graph import Graph
+from .graph import Graph, _positive
 
 
 @dataclass
@@ -93,10 +93,9 @@ def mis_power(g: Graph, r: int) -> MisResult:
 
     Repeatedly takes the smallest remaining vertex id and discards every
     vertex within 2r hops of it.  Runs in time proportional to the edges
-    touched by the truncated searches.
+    touched by the truncated searches.  ValueError unless r is a positive int.
     """
-    if r < 1:
-        raise ValueError("radius must be positive")
+    _positive(r, "radius")
     order = _greedy_scatter(g, r)
     return MisResult(r, frozenset(order), tuple(order))
 
@@ -130,13 +129,12 @@ def _search_lower_bound(
     schedule covers radius <= j - 2, so at most one pick.  If the sizes
     shrink as the radius grows, j is also the least index that holds, as
     any bisection's.  Every probe calls ``tick`` once per pick, so a
-    caller's time budget can stop the search there.  An empty graph or
-    k < 1 raises ValueError, for every solver that starts here.
+    caller's time budget can stop the search there.  An empty graph or a
+    k not a positive int raises ValueError, for every solver that starts here.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    if k < 1:
-        raise ValueError("spread factor must be positive")
+    _positive(k, "spread factor")
     n = g.n
     sizes: dict[int, float] = {}
     found: dict[int, list[int]] = {}
@@ -206,7 +204,8 @@ def lower_bound(g: Graph, k: int, verify_linear: bool = False) -> int:
     least index that holds if the sizes shrink as the radius grows (at
     j = n the members are one per component).  With ``verify_linear``
     every j' < j is probed again, each stopping at k*j' + 1 picks, and a
-    j' that holds raises: the bound stays sound but is not the least.
+    j' that holds raises: the bound stays sound but is not the least.  An
+    empty graph or a k that is not a positive int is a ValueError.
     """
     j, _ = _search_lower_bound(g, k)
     if verify_linear:
@@ -226,6 +225,7 @@ def approx_schedule(g: Graph, k: int) -> ApproxResult:
     strict semantics.  Every vertex is within 2j hops of a member ignited
     by round j, so completion <= 3j: RuntimeError is raised should the
     certified pad pass (``burning._pad_certified``) reject it or end later.
+    An empty graph or a k that is not a positive int is a ValueError.
     """
     j, order = _search_lower_bound(g, k)
     # members are > 2j apart and batches span <= j rounds: padding only tops up

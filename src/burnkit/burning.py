@@ -29,7 +29,7 @@ from math import inf
 from operator import add
 from typing import Callable, NamedTuple, Sequence
 
-from .graph import Graph
+from .graph import Graph, _fits
 
 
 class ScheduleError(ValueError):
@@ -73,14 +73,14 @@ class BurnReport:
 def validate_schedule(g: Graph, s: Schedule) -> None:
     """Reject structurally bad schedules (raises ScheduleError).  k and every
     vertex id must be ints; a bool is not one."""
-    if type(s.k) is not int or s.k < 1:
+    if not _fits(s.k, 1):
         raise ScheduleError(f"spread factor must be a positive integer, got {s.k!r}")
     seen: set[int] = set()
     for r, batch in enumerate(s.rounds, start=1):
         if len(batch) > s.k:
             raise ScheduleError(f"round {r}: batch of {len(batch)} exceeds k={s.k}")
         for v in batch:
-            if type(v) is not int or not (0 <= v < g.n):
+            if not _fits(v, 0, g.n - 1):
                 raise ScheduleError(f"round {r}: invalid vertex id {v!r}")
             if v in seen:
                 raise ScheduleError(f"round {r}: vertex {v} ignited twice")
@@ -266,17 +266,18 @@ def completion_closed_form(g: Graph, ignitions: list[tuple[int, int]]) -> int:
     A source ignited at round r reaches radius t - r by round t, so the
     process ends at ``max_v min_(s,r) (r + dist(s, v))``: one breadth-first
     search whose sources join when its level reaches their round.  Raises
-    ValueError if some vertex is unreachable from every ignition vertex.
+    ValueError for an ignition vertex not an int in 0..n-1 or a round not a
+    positive int, or if some vertex is unreachable from every ignition vertex.
     """
+    for v, r in ignitions:
+        if not _fits(v, 0, g.n - 1):
+            raise ValueError(f"invalid ignition vertex {v!r}")
+        if not _fits(r, 1):
+            raise ValueError(f"ignition round must be a positive int, got {r!r}")
     if g.n == 0:
         return 0
     if not ignitions:
         raise ValueError("no ignitions given")
-    for v, r in ignitions:
-        if not (0 <= v < g.n):
-            raise ValueError(f"invalid ignition vertex {v}")
-        if r < 1:
-            raise ValueError(f"ignition round must be positive, got {r}")
     starts = sorted((r, v) for v, r in ignitions)
     arrival: list[int | None] = [None] * g.n
     level: list[int] = []

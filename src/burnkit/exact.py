@@ -18,7 +18,7 @@ from typing import Callable
 
 from .approx import _search_lower_bound
 from .burning import Schedule, _pad_certified, _run_rounds
-from .graph import Graph, _bfs
+from .graph import Graph, _bfs, _fits, _positive
 
 
 @dataclass
@@ -31,7 +31,7 @@ class SchedulingInstance:
 
     def __post_init__(self):
         for s in self.sources:  # before sorting, which a str next to an int breaks
-            if type(s) is not int or not (0 <= s < self.graph.n):
+            if not _fits(s, 0, self.graph.n - 1):
                 raise ValueError(f"invalid source id {s!r}")
         srcs = sorted(set(self.sources))
         if len(srcs) != len(self.sources):
@@ -67,7 +67,7 @@ def _ticker(time_budget: float | None) -> Callable[[], None] | None:
     raises UndeterminedError once ``time_budget`` seconds have passed."""
     if time_budget is None:
         return None
-    if not time_budget >= 0:  # NaN fails every comparison
+    if type(time_budget) is bool or not time_budget >= 0:  # NaN fails every comparison
         raise ValueError(f"time budget must be a non-negative number of seconds, got {time_budget}")
     deadline = time.monotonic() + time_budget
 
@@ -76,14 +76,6 @@ def _ticker(time_budget: float | None) -> Callable[[], None] | None:
             raise UndeterminedError("time budget exhausted")
 
     return tick
-
-
-def _positive(x: int, what: str) -> None:
-    """Raise ValueError unless x is a positive int (a bool is not one)."""
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an int, got {x!r}")
-    if x < 1:
-        raise ValueError(f"{what} must be positive")
 
 
 def _grow_balls(g: Graph, ball: list[list[int]], tick: Callable[[], None] | None) -> None:
@@ -136,9 +128,9 @@ def exact_burning_number(
     Raises UndeterminedError when ``max_rounds`` or ``time_budget`` runs out
     first, the lower-bound probes and every ball row (radius 0 included)
     under the clock; never returns a wrong number.  A ``k`` or
-    ``max_rounds`` not a positive int (a bool is not one) and a negative or
-    NaN ``time_budget`` are ValueErrors, raised before any work; an infinite
-    budget sets no limit.
+    ``max_rounds`` not a positive int (a bool is not one) and a negative,
+    NaN or bool ``time_budget`` are ValueErrors, raised before any work; an
+    infinite budget sets no limit.
     """
     _positive(k, "spread factor")
     if max_rounds is not None:
@@ -229,7 +221,8 @@ def ordering_feasible(
 ) -> tuple[bool, str]:
     """Check a full round assignment: capacity, ignition order, coverage.
 
-    Every int source must get an int round in 1..rounds, at most k per round.
+    ``rounds`` must be a positive int, else ValueError before any work; every
+    int source must get an int round in 1..rounds, at most k per round.
     That makes it a well-formed schedule, run as it is through the
     package's one round loop in its check mode, which reads only ignition
     violations and burn rounds here: every source must still be unburnt
@@ -239,13 +232,14 @@ def ordering_feasible(
     smallest vertex that burns late or never.  ``tick`` is called as each
     round of the loop starts, so a caller's time budget can stop it there.
     """
-    if any(type(s) is not int for s in ordering) or sorted(ordering) != list(inst.sources):
+    _positive(rounds, "round budget")
+    if not all(_fits(s, 0) for s in ordering) or sorted(ordering) != list(inst.sources):
         return False, "ordering must assign exactly the instance sources"
     # rounds past the last one assigned would add only batch-size violations
-    top = max((r for r in ordering.values() if type(r) is int and 1 <= r <= rounds), default=0)
+    top = max((r for r in ordering.values() if _fits(r, 1, rounds)), default=0)
     batches: list[list[int]] = [[] for _ in range(top)]
     for s, r in ordering.items():
-        if type(r) is not int or not (1 <= r <= rounds):
+        if not _fits(r, 1, rounds):
             return False, f"source {s} assigned round {r} outside 1..{rounds}"
         batches[r - 1].append(s)
         if len(batches[r - 1]) > inst.k:
@@ -381,8 +375,8 @@ def schedule_sources(
     Raises UndeterminedError when ``time_budget`` (seconds) runs out, with
     the clock read at every search node, at each level of a ball search, at
     each radius the lists path makes and at each round of the certifying
-    pass; ValueError before any work if it is < 0 or NaN, or if ``rounds``
-    is not a positive int.
+    pass; ValueError before any work if it is < 0, NaN or a bool, or if
+    ``rounds`` is not a positive int.
     """
     srcs = list(inst.sources)
     if len(srcs) > 24:

@@ -21,6 +21,7 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, compress, islice
+from math import inf
 from operator import eq, gt, lt
 from typing import Callable, Iterable, Iterator
 
@@ -30,6 +31,20 @@ MAX_VERTICES = 10**8
 before any edge (its id in the table and its empty adjacency list), so the
 bound is about 10 GB; builders and the parser check it before allocating
 anything of size n."""
+
+
+def _fits(x, lo: float, hi: float = inf) -> bool:
+    """Whether x is an int (a bool is not one) in lo..hi: the package's one int test."""
+    return type(x) is int and lo <= x <= hi
+
+
+def _positive(x, what: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless x is a positive int (a bool is not one)."""
+    if not _fits(x, -inf):
+        raise error(f"{what} must be an int, got {x!r}")
+    if x < 1:
+        raise error(f"{what} must be positive")
+
 
 _SLICE = 1 << 16
 """Characters of whole lines that parse_graph converts at a time."""
@@ -152,20 +167,23 @@ _EDGE_OUT_OF_RANGE = "edge ({u},{v}) out of range for n={n}"
 
 
 def _check_vertex_count(n: int) -> None:
-    """Raise ValueError if n is negative or above MAX_VERTICES."""
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the vertex bound {MAX_VERTICES}")
+    """Raise ValueError unless n is an int (a bool is not one) in 0..MAX_VERTICES."""
+    if not _fits(n, 0, MAX_VERTICES):
+        raise ValueError(f"vertex count {n} exceeds the vertex bound {MAX_VERTICES}" if _fits(n, 0)
+                         else f"vertex count must be a non-negative int, got {n!r}")
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge iterable, rejecting loops and duplicates.
 
-    Raises ValueError if n is negative or above MAX_VERTICES.
+    Raises ValueError if n is not an int in 0..MAX_VERTICES, before the
+    edges are read, or if an endpoint is not an int.
     """
-    _check_vertex_count(n)  # before the edges are read
-    return _graph_from_ids(n, [x for u, v in edges for x in (u, v)])
+    _check_vertex_count(n)
+    ids = [x for u, v in edges for x in (u, v)]
+    if not set(map(type, ids)) <= {int}:  # one bulk test, not a call per id
+        raise ValueError("edge endpoints must be ints")
+    return _graph_from_ids(n, ids)
 
 
 def _graph_from_ids(n: int, ids: list[int]) -> Graph:
@@ -365,13 +383,15 @@ def _bfs(g: Graph, sources: Iterable[int], max_depth: int | None = None,
 
 
 def bfs_distances(g: Graph, sources: Iterable[int]) -> DistanceTable:
-    """Exact unweighted hop counts from the nearest source, by multi-source BFS."""
-    srcs = sorted(set(sources))
+    """Exact unweighted hop counts from the nearest source, by multi-source BFS;
+    ValueError for no source, or for one that is not an int in 0..n-1."""
+    srcs = list(sources)
+    for s in srcs:  # before the set, which would merge True into 1
+        if not _fits(s, 0, g.n - 1):
+            raise ValueError(f"invalid source id {s!r}")
+    srcs = sorted(set(srcs))
     if not srcs:
         raise ValueError("empty source set")
-    for s in srcs:
-        if not (0 <= s < g.n):
-            raise ValueError(f"invalid source id {s}")
     dist: list[int | None] = [None] * g.n
     for v, d in zip(*_bfs(g, srcs)):
         dist[v] = d
@@ -395,6 +415,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 # _build's order test accepts.
 
 def path_graph(n: int) -> Graph:
+    """Path 0 - 1 - ... - n-1; ValueError if n is not an int in 0..MAX_VERTICES."""
     _check_vertex_count(n)
     vid = list(range(n))
     return _build(n, list(chain.from_iterable(zip(vid, islice(vid, 1, None)))),
@@ -402,26 +423,33 @@ def path_graph(n: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    """Cycle on n vertices; ValueError, before any edge, unless n is an int in 3..MAX_VERTICES."""
+    _check_vertex_count(n)
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    """Complete graph on n vertices; ValueError unless n is an int in 0..MAX_VERTICES."""
+    _check_vertex_count(n)  # before range(n) is made
     return graph_from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def star_graph(n: int) -> Graph:
-    """Star on n vertices: center 0 joined to 1..n-1."""
+    """Star: center 0 joined to 1..n-1; ValueError unless n is an int in 0..MAX_VERTICES."""
+    _check_vertex_count(n)  # before range(1, n) is made
     return graph_from_edges(n, ((0, v) for v in range(1, n)))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """Rows x cols grid, vertices row-major.
 
-    Raises ValueError if either dimension is negative or the grid has more
-    than MAX_VERTICES vertices; a dimension of 0 gives the empty graph.
+    Raises ValueError for a dimension not a non-negative int, or a grid of
+    more than MAX_VERTICES vertices; a dimension of 0 gives the empty graph.
     """
+    if not (_fits(rows, -inf) and _fits(cols, -inf)):
+        raise ValueError(f"grid dimensions must be ints, got {rows!r}x{cols!r}")
     if rows < 0 or cols < 0:
         raise ValueError(f"grid dimensions must be non-negative, got {rows}x{cols}")
     n = rows * cols

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
-from math import isqrt
+from math import inf, isqrt
 
 from .burning import Schedule, _pad_certified
-from .graph import _check_vertex_count, path_graph
+from .graph import _check_vertex_count, _fits, path_graph
 
 
 def path_burning_number(n: int, k: int) -> int:
     """Smallest b with k*b*b >= n, in exact integer arithmetic.
 
     Equals ceil(sqrt(n/k)); the integer predicate avoids floating point at
-    boundary values like n = k*b*b.
+    boundary values like n = k*b*b.  ValueError unless n and k are positive ints.
     """
+    if not (_fits(n, -inf) and _fits(k, -inf)):
+        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     c = -(-n // k)  # ceil(n/k)
@@ -30,8 +32,11 @@ def segment_sources(length: int, rounds: int, base: int = 0) -> list[tuple[int, 
     for r = 1, 2, ...; the source of each segment goes at its center (the
     last segment may be shorter, in which case the source shifts to the
     smallest offset that still covers it in time).  Returns (vertex, round)
-    pairs with vertex ids offset by ``base``.
+    pairs with vertex ids offset by ``base``.  Raises ValueError for a non-int
+    argument, a negative ``length`` or ``base``, or a path that cannot burn in time.
     """
+    if not (_fits(length, 0) and _fits(rounds, -inf) and _fits(base, 0)):
+        raise ValueError(f"bad path plan: length {length!r}, rounds {rounds!r}, base {base!r}")
     out: list[tuple[int, int]] = []
     offset = 0
     r = 1
@@ -54,7 +59,7 @@ def optimal_path_schedule(n: int, k: int) -> Schedule:
     ceil(n/k) vertices, so each burns within b rounds); their segment
     sources run in parallel, one ignition per subpath per round.  The
     result is padded and certified, and RuntimeError is raised off round b.
-    Raises ValueError before any batch is made if n is above MAX_VERTICES.
+    ValueError unless n and k are positive ints, before any batch if n > MAX_VERTICES.
     """
     b = path_burning_number(n, k)
     _check_vertex_count(n)  # before b batches are made for a path too large to build

@@ -28,7 +28,8 @@ from math import inf
 
 from .burning import Schedule, _pad_certified, simulate
 from .exact import SchedulingInstance, ordering_feasible
-from .graph import MAX_VERTICES, Graph, _graph_from_ids, bfs_distances, graph_from_edges
+from .graph import (MAX_VERTICES, Graph, _fits, _graph_from_ids, _positive, bfs_distances,
+                    graph_from_edges)
 from .paths import segment_sources
 
 
@@ -83,18 +84,17 @@ class VcInstance:
 def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcInstance:
     """Materialize the cover-to-burning gadget for (g, k, q).
 
-    Raises ReductionError on bad parameters, or when the gadget would have
-    more than MAX_VERTICES vertices; its size is computed before anything
-    of that size is allocated.
+    Raises ReductionError on bad parameters (k and q must be ints), or when
+    the gadget would have more than MAX_VERTICES vertices; its size is
+    computed before anything of that size is allocated.
     """
     if g.n < 1:
         raise ReductionError("input graph must have at least one vertex")
-    if k < 1:
-        raise ReductionError("spread factor must be positive")
+    _positive(k, "spread factor", ReductionError)
     if connected and k != 1:
         raise ReductionError("connected variant requires k=1")
-    if not (1 <= q <= g.n):
-        raise ReductionError(f"q must be in 1..{g.n}, got {q}")
+    if not _fits(q, 1, g.n):
+        raise ReductionError(f"q must be in 1..{g.n}, got {q!r}")
 
     if connected:
         w, z = g.n, g.n + 1
@@ -112,7 +112,7 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
     else:
         rest = (k - 1) * budget + k * (2 * base_n * k + 3)  # the isolated vertices
     size = base_n + len(base_edges) * (2 + d_count + base_n) + rest
-    if size > MAX_VERTICES:
+    if not _fits(size, 0, MAX_VERTICES):
         raise ReductionError(f"gadget of {size} vertices exceeds the vertex bound {MAX_VERTICES}")
 
     roles: list[Role] = []
@@ -187,18 +187,20 @@ def vc_to_schedule(inst: VcInstance, cover) -> Schedule:
     round when k > 1), the remaining isolated vertices follow k per round;
     the connected variant ignites w before the cover and then burns the
     backbone suffix like a standalone path.  The result is padded and
-    certified, completes by round q + 2nk + 3, and an instance short of the
-    isolated or backbone vertices its fields ask for raises ReductionError.
+    certified, completes by round q + 2nk + 3, and a cover vertex not an int
+    in 0..n-1, or an instance short of the isolated or backbone vertices its
+    fields ask for, raises ReductionError.
     """
     return _vc_to_schedule(inst, cover)[0]
 
 
 def _vc_to_schedule(inst: VcInstance, cover) -> tuple[Schedule, int]:
     """vc_to_schedule's schedule, with the completion round its certificate gave."""
-    cov = sorted(set(cover))
-    for c in cov:
-        if not (0 <= c < inst.original_n):
-            raise ReductionError(f"cover vertex {c} is not an input-graph vertex")
+    cov = list(cover)
+    for c in cov:  # before the set, which would merge True into 1
+        if not _fits(c, 0, inst.original_n - 1):
+            raise ReductionError(f"cover vertex {c!r} is not an input-graph vertex")
+    cov = sorted(set(cov))
     if len(cov) > inst.original_q:
         raise ReductionError(f"cover of {len(cov)} exceeds budget {inst.original_q}")
     covered = set(cov)
@@ -289,20 +291,19 @@ def schedule_to_vc(inst: VcInstance, s: Schedule):
 
 @dataclass
 class Cnf3:
-    """3-CNF formula: clauses are triples of nonzero signed variable indices."""
+    """3-CNF formula: triples of nonzero int literals in -n_vars..n_vars, else ReductionError."""
 
     n_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.n_vars < 1:
-            raise ReductionError("formula needs at least one variable")
+        _positive(self.n_vars, "variable count", ReductionError)
         clean = []
         for clause in self.clauses:
             if len(clause) != 3:
                 raise ReductionError(f"clause {clause} does not have exactly 3 literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.n_vars:
+                if not (_fits(lit, -self.n_vars, self.n_vars) and lit):
                     raise ReductionError(f"literal {lit} out of range for {self.n_vars} variables")
             clean.append(tuple(clause))
         self.clauses = tuple(clean)
@@ -333,9 +334,14 @@ class SatInstance:
 
 
 def build_sat_instance(cnf: Cnf3) -> SatInstance:
+    """The 3-SAT scheduling gadget; ReductionError for no clause, or before any id is
+    made for a gadget of more than MAX_VERTICES vertices: 2n + 4n(n - 1) + |clauses|."""
     if not cnf.clauses:
         raise ReductionError("formula must have at least one clause")
     n = cnf.n_vars
+    size = 2 * n + 4 * n * (n - 1) + len(cnf.clauses)
+    if not _fits(size, 0, MAX_VERTICES):
+        raise ReductionError(f"gadget of {size} vertices exceeds the vertex bound {MAX_VERTICES}")
     lits = [lit for i in range(1, n + 1) for lit in (i, -i)]
     literal_vertex = {lit: v for v, lit in enumerate(lits)}
     # the literals of variable i each get a top and a bottom path of 2(n - i)
@@ -482,11 +488,6 @@ def vc_instance_meta(inst: VcInstance) -> dict:
     }
 
 
-def _fits(x, lo: float, hi: float = inf) -> bool:
-    """Whether x is an int (a bool is not) in lo..hi: the sidecar loaders' one check."""
-    return type(x) is int and lo <= x <= hi
-
-
 def _field(meta: dict, key: str, lo: float, hi: float = inf) -> int:
     x = meta[key]
     if not _fits(x, lo, hi):
@@ -578,9 +579,9 @@ def load_sat_instance(graph: Graph, meta) -> SatInstance:
         n_vars = _field(meta, "n_vars", 1)
         clauses = _list(meta, "clauses")
         for c in clauses:
-            if not (isinstance(c, list) and all(_fits(lit, -inf) for lit in c)):
+            if not isinstance(c, list):
                 raise ReductionError(f"bad clause {c!r}")
-        cnf = Cnf3(n_vars, tuple(map(tuple, clauses)))  # checks arity and literal range
+        cnf = Cnf3(n_vars, tuple(map(tuple, clauses)))  # checks arity and literals
         n = graph.n
         inst = SchedulingInstance(graph, tuple(_vertices(meta, "sources", n)), _field(meta, "k", 1))
         literal_vertex = _literal_map(meta, "literal_vertex", n_vars, n)

@@ -265,6 +265,8 @@ def test_closed_form_errors():
         completion_closed_form(g, [(0, 0)])  # round must be positive
     with pytest.raises(ValueError):
         completion_closed_form(g, [])
+    with pytest.raises(ValueError, match="invalid ignition vertex 0"):
+        completion_closed_form(graph_from_edges(0, []), [(0, 1)])  # the empty graph has none
 
 
 def test_pad_extends_batch():

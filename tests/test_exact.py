@@ -13,18 +13,27 @@ from burnkit import (
     SchedulingInstance,
     UndeterminedError,
     approx,
+    bfs_distances,
     build_sat_instance,
+    build_vc_instance,
     complete_graph,
+    completion_closed_form,
     cycle_graph,
     exact,
     exact_burning_number,
     graph_from_edges,
     grid_graph,
+    lower_bound,
+    mis_power,
+    optimal_path_schedule,
     ordering_feasible,
     path_burning_number,
     path_graph,
     schedule_sources,
+    segment_sources,
     simulate,
+    star_graph,
+    vc_to_schedule,
 )
 
 from .strategies import graphs, naive_oracle, random_connected_graph, random_graph
@@ -307,7 +316,9 @@ def test_scheduling_instance_rejects_a_non_integer_source():
         SchedulingInstance(path_graph(5), (0, 4.0), 1)
 
 
+P3 = path_graph(3)
 P5 = path_graph(5)
+P9 = path_graph(9)
 P5_ENDS = SchedulingInstance(P5, (0, 4), 1)
 
 
@@ -327,10 +338,47 @@ P5_ENDS = SchedulingInstance(P5, (0, 4), 1)
     (lambda: schedule_sources(P5_ENDS, True), "round budget must be an int, got True"),
     (lambda: exact_burning_number(P5, 1, max_rounds=True), "round budget must be an int, got True"),
     (lambda: exact_burning_number(P5, True), "spread factor must be an int, got True"),
+    (lambda: schedule_sources(P5_ENDS, 3, time_budget=True),
+     "time budget must be a non-negative number of seconds, got True"),
+    (lambda: exact_burning_number(P5, 1, time_budget=True),
+     "time budget must be a non-negative number of seconds, got True"),
+    (lambda: ordering_feasible(P5_ENDS, {0: 1, 4: 2}, 2.5), "round budget must be an int, got 2.5"),
+    (lambda: ordering_feasible(P5_ENDS, {0: 1, 4: 2}, True),
+     "round budget must be an int, got True"),
+    (lambda: ordering_feasible(P5_ENDS, {0: 1, 4: 2}, 0), "round budget must be positive"),
+    (lambda: lower_bound(P9, 1.5), "spread factor must be an int, got 1.5"),
+    (lambda: approx.approx_schedule(P9, True), "spread factor must be an int, got True"),
+    (lambda: mis_power(P9, True), "radius must be an int, got True"),
+    (lambda: path_graph(True), "vertex count must be a non-negative int, got True"),
+    (lambda: cycle_graph(4.0), "vertex count must be a non-negative int, got 4.0"),
+    (lambda: complete_graph(2.5), "vertex count must be a non-negative int, got 2.5"),
+    (lambda: star_graph(2.5), "vertex count must be a non-negative int, got 2.5"),
+    (lambda: grid_graph(2.5, 2), "grid dimensions must be ints, got 2.5x2"),
+    (lambda: graph_from_edges(3, [(0, True)]), "edge endpoints must be ints"),
+    (lambda: bfs_distances(P3, [True]), "invalid source id True"),
+    (lambda: completion_closed_form(P3, [(1, True)]),
+     "ignition round must be a positive int, got True"),
+    (lambda: completion_closed_form(P3, [(1.0, 1)]), "invalid ignition vertex 1.0"),
+    (lambda: path_burning_number(2.5, 1), "n and k must be ints, got 2.5 and 1"),
+    (lambda: optimal_path_schedule(9, True), "n and k must be ints, got 9 and True"),
+    (lambda: segment_sources(9, 2.5), "bad path plan: length 9, rounds 2.5, base 0"),
+    (lambda: build_vc_instance(P3, True, 1), "spread factor must be an int, got True"),
+    (lambda: build_vc_instance(P3, 1, True), "q must be in 1..3, got True"),
+    (lambda: vc_to_schedule(build_vc_instance(P3, 1, 1), [True]),
+     "cover vertex True is not an input-graph vertex"),
+    (lambda: Cnf3(True, ((1, 1, 1),)), "variable count must be an int, got True"),
+    (lambda: Cnf3(3, ((1, 2, 3.0),)), "literal 3.0 out of range for 3 variables"),
 ], ids=["source", "source-str", "k", "round-float", "round-bool", "key-bool", "key-str",
-        "schedule-rounds-float", "schedule-rounds-bool", "exact-max-rounds-bool", "exact-k-bool"])
+        "schedule-rounds-float", "schedule-rounds-bool", "exact-max-rounds-bool", "exact-k-bool",
+        "schedule-budget-bool", "exact-budget-bool", "feasible-rounds-float",
+        "feasible-rounds-bool", "feasible-rounds-zero", "lower-bound-k-float", "approx-k-bool",
+        "mis-radius-bool", "path-n-bool", "cycle-n-float", "complete-n-float", "star-n-float",
+        "grid-float", "edge-endpoint-bool", "bfs-source-bool", "closed-form-round-bool",
+        "closed-form-vertex-float", "path-number-n-float", "path-schedule-k-bool",
+        "segment-rounds-float", "vc-k-bool", "vc-q-bool", "vc-cover-bool", "cnf-n-vars-bool",
+        "cnf-literal-float"])
 def test_scheduler_and_exact_inputs_must_be_ints_not_bools(monkeypatch, call, outcome):
-    # the sidecar loaders' rule: a bool is not an int, nor is a float or a
+    # the package's one int rule: a bool is not an int, nor is a float or a
     # str.  Each case is rejected before any work, or judged infeasible by
     # ordering_feasible
     def no_work(*args, **kwargs):
@@ -598,6 +646,13 @@ def test_a_nan_or_negative_budget_is_rejected_before_any_work(monkeypatch, budge
         exact_burning_number(path_graph(9), 1, time_budget=budget)
     with pytest.raises(ValueError, match="time budget must be a non-negative number"):
         schedule_sources(SchedulingInstance(path_graph(5), (0, 4), 1), 3, time_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [5, 5.0, float("inf")])
+def test_an_int_float_or_infinite_budget_is_seconds(budget):
+    # of the numbers, only a bool (and a negative or NaN one) is refused
+    assert schedule_sources(P5_ENDS, 3, time_budget=budget) == {0: 1, 4: 2}
+    assert exact_burning_number(P9, 1, time_budget=budget)[0] == 3
 
 
 def test_exact_on_disconnected_components():

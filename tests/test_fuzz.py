@@ -11,8 +11,10 @@ set to 10**12 on the same small inputs, the scheduler's round budget also
 on a 2000-vertex path (past ``exact._BIT_VERTICES``, so its BFS lists
 path runs) and on a 1600-vertex one (``schedule-max-rounds-bits``: at
 ``exact._BIT_VERTICES``, so the bit table starts and must give itself
-up), and an 11-byte graph claims 3 * 10**7 vertices, each run in a child
-process under a cap on its address space.
+up), an 11-byte graph claims 3 * 10**7 vertices, and ``gen-sat-huge-cnf``
+reads a one-clause formula over 5001 variables, whose gadget of 100,030,003
+vertices must be refused (exit 2) before any vertex id is made; each runs in
+a child process under a cap on its address space.
 """
 
 import json
@@ -45,6 +47,7 @@ def inputs(tmp_path, capsys):
              "schedule": "1 3\n0\n4\n2\n",
              "cnf": "p cnf 2 2\n1 2 -1 0\n-2 1 2 0\n",
              "huge-header": "30000000 0\n",
+             "huge-cnf": "p cnf 5001 1\n1 2 3 0\n",
              "long-path": "2000 1999\n" + "".join(f"{v} {v + 1}\n" for v in range(1999)),
              "bit-path": "1600 1599\n" + "".join(f"{v} {v + 1}\n" for v in range(1599))}
     paths = {}
@@ -249,6 +252,8 @@ HUGE_FLAGS = {
     "path-number-k": ["path-number", "--n=5", "--k={huge}"],
     "path-schedule-n": ["path-schedule", "--n={huge}"],
     "path-schedule-k": ["path-schedule", "--n=5", "--k={huge}"],
+    # no flag: a formula whose gadget would outgrow MAX_VERTICES
+    "gen-sat-huge-cnf": ["gen-sat", "--cnf", "{huge_cnf}", "--out", "{out}"],
     # no flag, but a header within MAX_VERTICES whose graph outgrows the cap:
     # out of memory is a limit (exit 3), not a traceback
     "lower-bound-huge-header": ["lower-bound", "--graph", "{huge_header}"],
@@ -271,9 +276,12 @@ def test_huge_flags_keep_the_exit_contract(inputs, tmp_path, argv):
     # something by 10**12 would take the test run's memory with it
     argv = [a.format(graph=inputs["graph"], p3=inputs["p3"], huge_header=inputs["huge-header"],
                      long_path=inputs["long-path"], bit_path=inputs["bit-path"],
-                     out=tmp_path / "gen", huge=HUGE)
+                     huge_cnf=inputs["huge-cnf"], out=tmp_path / "gen", huge=HUGE)
             for a in argv]
     env = {**os.environ, "PYTHONPATH": str(Path(burnkit.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "burnkit", *argv], capture_output=True,
                           text=True, timeout=120, env=env, preexec_fn=_cap_address_space)
     _check_contract(argv, proc.returncode, proc.stdout, proc.stderr)
+    if argv[0] == "gen-sat":  # refused by the size check, not stopped by the cap
+        assert proc.returncode == 2, proc.stderr
+        assert "gadget of 100030003 vertices exceeds the vertex bound 100000000" in proc.stderr

@@ -192,6 +192,19 @@ def test_rejected_huge_header_allocates_nothing_of_size_n(build, message):
     assert peak < 1 << 20  # 2e6 empty lists alone would take 112 MB
 
 
+def test_cycle_above_the_vertex_bound_makes_no_edge(monkeypatch):
+    # n edge tuples would take about 13 MB before the bound was read
+    monkeypatch.setattr("burnkit.graph.MAX_VERTICES", 10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex count 100001 exceeds the vertex bound 100000"):
+            cycle_graph(10**5 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("build,allowance", [
     # the whole-text parser peaked 7.1 MB above this graph, in its list of lines
     (lambda: serialize_graph(grid_graph(300, 300)), 4 << 20),

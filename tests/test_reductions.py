@@ -123,6 +123,18 @@ def test_vc_gadget_size_is_checked_exactly(monkeypatch, k, q, connected):
         build_vc_instance(g, k, q, connected=connected)
 
 
+@pytest.mark.parametrize("cnf", [Cnf3(3, ((1, -2, 3),)), Cnf3(5, ((1, 2, 3), (-4, 5, -1)))])
+def test_sat_gadget_size_is_checked_exactly(monkeypatch, cnf):
+    # 2n literal vertices, 4n(n - 1) path vertices, one per clause
+    n = 2 * cnf.n_vars + 4 * cnf.n_vars * (cnf.n_vars - 1) + len(cnf.clauses)
+    monkeypatch.setattr("burnkit.reductions.MAX_VERTICES", n)
+    assert build_sat_instance(cnf).inst.graph.n == n
+    monkeypatch.setattr("burnkit.reductions.MAX_VERTICES", n - 1)
+    message = f"^gadget of {n} vertices exceeds the vertex bound {n - 1}$"
+    with pytest.raises(ReductionError, match=message):
+        build_sat_instance(cnf)
+
+
 def test_vc_forward_schedule_k4():
     inst = build_vc_instance(complete_graph(4), 1, 3)
     sched = vc_to_schedule(inst, [1, 2, 3])
