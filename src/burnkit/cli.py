@@ -10,7 +10,8 @@ on stderr, before the ``elapsed_ms`` line every run ends with:
 - 1 ``invalid``: a ``RuntimeError``, i.e. an invalid ``simulate``
   schedule, a failed ``map-*`` mapping or a failed internal certification;
 - 2 ``parse``: a ``ValueError``, i.e. a usage error, any unreadable or
-  malformed input (gadget sidecars included), an output file that cannot
+  malformed input (gadget sidecars included, and a sidecar that describes
+  a gadget other than the graph beside it), an output file that cannot
   be written, a ``--max-rounds`` below 1 or a negative or NaN
   ``--time-budget`` (argparse's errors exit 2 too);
 - 3 ``limit``: an ``UndeterminedError``, i.e. ``--max-rounds`` or

@@ -64,11 +64,13 @@ class UndeterminedError(RuntimeError):
 
 def _ticker(time_budget: float | None) -> Callable[[], None] | None:
     """None for no budget, else the ``tick`` every budgeted loop calls: it
-    raises UndeterminedError once ``time_budget`` seconds have passed."""
+    raises UndeterminedError once ``time_budget`` seconds have passed.  A
+    budget not an int or float (a bool is not one), negative or NaN is a ValueError."""
     if time_budget is None:
         return None
-    if type(time_budget) is bool or not time_budget >= 0:  # NaN fails every comparison
-        raise ValueError(f"time budget must be a non-negative number of seconds, got {time_budget}")
+    if (type(time_budget) is bool or not isinstance(time_budget, (int, float))
+            or not time_budget >= 0):  # NaN fails every comparison
+        raise ValueError(f"time budget must be a non-negative number of seconds, got {time_budget!r}")
     deadline = time.monotonic() + time_budget
 
     def tick() -> None:

@@ -409,10 +409,10 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 # Builders for the standard families used throughout the test-suite and
-# the scaling experiments.  The path and the grid cut their flat id list
-# from slices of the table ``list(range(n))`` and hand both to _build, so
-# no int is made per edge; their pairs come in the ascending order that
-# _build's order test accepts.
+# the scaling experiments.  The path, the cycle and the grid cut their flat
+# id list from slices of the table ``list(range(n))`` and hand both to
+# _build, so no int is made per edge; their pairs come in the ascending
+# order that _build's order test accepts.
 
 def path_graph(n: int) -> Graph:
     """Path 0 - 1 - ... - n-1; ValueError if n is not an int in 0..MAX_VERTICES."""
@@ -427,7 +427,11 @@ def cycle_graph(n: int) -> Graph:
     _check_vertex_count(n)
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    vid = list(range(n))
+    # the closing pair (0, n - 1) second, so the pairs stay ascending
+    return _build(n, [vid[0], vid[1], vid[0], vid[-1],
+                      *chain.from_iterable(zip(islice(vid, 1, None), islice(vid, 2, None)))],
+                  _EDGE_OUT_OF_RANGE, vid)
 
 
 def complete_graph(n: int) -> Graph:

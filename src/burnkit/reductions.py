@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import inf
 
 from .burning import Schedule, _pad_certified, simulate
 from .exact import SchedulingInstance, ordering_feasible
@@ -45,10 +44,6 @@ Role = tuple
 #   ("tail", u, v, i) i-th tail vertex of base edge (u, v)
 #   ("iso", i)        i-th isolated vertex (backbone anchor in the connected variant)
 #   ("backbone", i)   i-th non-anchor backbone path vertex (connected variant only)
-# fields per role after the tag, as vc_instance_meta writes them: how many
-# base-graph vertex ids (0..n-1), then how many 1-based indices
-_ROLE_FIELDS = {"v": (1, 0), "e": (2, 0), "d": (2, 1), "tail": (2, 1), "iso": (0, 1),
-                "backbone": (0, 1)}
 
 
 @dataclass
@@ -81,13 +76,10 @@ class VcInstance:
         return self.q + 2 * self.n * self.k + 3
 
 
-def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcInstance:
-    """Materialize the cover-to-burning gadget for (g, k, q).
-
-    Raises ReductionError on bad parameters (k and q must be ints), or when
-    the gadget would have more than MAX_VERTICES vertices; its size is
-    computed before anything of that size is allocated.
-    """
+def _vc_gadget_size(g: Graph, k: int, q: int, connected: bool) -> int:
+    """The cover gadget's vertex count for (g, k, q), after ReductionError for
+    a bad parameter: what build_vc_instance bounds before it allocates, and
+    what load_vc_instance compares with its graph before it rebuilds."""
     if g.n < 1:
         raise ReductionError("input graph must have at least one vertex")
     _positive(k, "spread factor", ReductionError)
@@ -95,6 +87,25 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
         raise ReductionError("connected variant requires k=1")
     if not _fits(q, 1, g.n):
         raise ReductionError(f"q must be in 1..{g.n}, got {q!r}")
+    n, m = g.n, g.m
+    if connected:  # the pendant path v0 - w - z, with w in the budget
+        n, m, q = n + 2, m + 2, q + 1
+        rest = q + 2 * n + 2 + (2 * n + 3) ** 2  # the backbone
+    else:
+        rest = (k - 1) * q + k * (2 * n * k + 3)  # the isolated vertices
+    return n + m * (2 + 2 * n * k + n) + rest
+
+
+def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcInstance:
+    """Materialize the cover-to-burning gadget for (g, k, q).
+
+    Raises ReductionError on bad parameters (k and q must be ints), or when
+    the gadget would have more than MAX_VERTICES vertices; its size is
+    computed before anything of that size is allocated.
+    """
+    size = _vc_gadget_size(g, k, q, connected)
+    if not _fits(size, 0, MAX_VERTICES):
+        raise ReductionError(f"gadget of {size} vertices exceeds the vertex bound {MAX_VERTICES}")
 
     if connected:
         w, z = g.n, g.n + 1
@@ -107,14 +118,6 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
         budget = q
 
     d_count = 2 * base_n * k
-    if connected:
-        rest = budget + 2 * base_n + 2 + (2 * base_n + 3) ** 2  # the backbone, below
-    else:
-        rest = (k - 1) * budget + k * (2 * base_n * k + 3)  # the isolated vertices
-    size = base_n + len(base_edges) * (2 + d_count + base_n) + rest
-    if not _fits(size, 0, MAX_VERTICES):
-        raise ReductionError(f"gadget of {size} vertices exceeds the vertex bound {MAX_VERTICES}")
-
     roles: list[Role] = []
 
     def alloc(role: Role) -> int:
@@ -136,8 +139,8 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
         chain = [d_ids[base_n * k - 1], *t_ids]
         edges_out.extend(zip(chain, chain[1:]))
 
-    if not connected:
-        for i in range(1, rest + 1):
+    if not connected:  # the isolated vertices fill the gadget out to its size
+        for i in range(1, size - len(roles) + 1):
             alloc(("iso", i))
     else:
         # backbone off w: a run of q + 2n + 2 spacer vertices, then 2n + 3
@@ -164,10 +167,6 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
     return VcInstance(gprime, roles, base_n, k, budget, connected)
 
 
-def _role_ids(inst: VcInstance, tag: str) -> list[int]:
-    return [i for i, role in enumerate(inst.roles) if role[0] == tag]
-
-
 def original_edges(inst: VcInstance) -> list[tuple[int, int]]:
     """Edges of the user's input graph, recovered from the e-vertex roles."""
     # pairs are (min, max): bounding the larger endpoint bounds both
@@ -188,8 +187,7 @@ def vc_to_schedule(inst: VcInstance, cover) -> Schedule:
     the connected variant ignites w before the cover and then burns the
     backbone suffix like a standalone path.  The result is padded and
     certified, completes by round q + 2nk + 3, and a cover vertex not an int
-    in 0..n-1, or an instance short of the isolated or backbone vertices its
-    fields ask for, raises ReductionError.
+    in 0..n-1 raises ReductionError.
     """
     return _vc_to_schedule(inst, cover)[0]
 
@@ -210,11 +208,8 @@ def _vc_to_schedule(inst: VcInstance, cover) -> tuple[Schedule, int]:
 
     k = inst.k
     if not inst.connected:
-        iso_ids = _role_ids(inst, "iso")
+        iso_ids = [i for i, role in enumerate(inst.roles) if role[0] == "iso"]
         extra = (k - 1) * len(cov)  # isolated vertices ignited beside the cover
-        if len(iso_ids) < extra:
-            raise ReductionError(f"{len(iso_ids)} isolated vertices, a cover of "
-                                 f"{len(cov)} with k={k} needs {extra}")
         batches = [[c, *iso_ids[i * (k - 1):(i + 1) * (k - 1)]] for i, c in enumerate(cov)]
         batches += [iso_ids[i:i + k] for i in range(extra, len(iso_ids), k)]
     else:
@@ -222,11 +217,7 @@ def _vc_to_schedule(inst: VcInstance, cover) -> tuple[Schedule, int]:
         batches[0] = [inst.n - 2]  # w
         for i, c in enumerate(cov, start=1):
             batches[i] = [c]
-        anchor = inst.q + 2 * inst.n + 3
-        try:
-            suffix_start = inst.roles.index(("backbone", anchor))
-        except ValueError:
-            raise ReductionError(f"instance has no backbone vertex {anchor}") from None
+        suffix_start = inst.roles.index(("backbone", inst.q + 2 * inst.n + 3))
         suffix = inst.gprime.n - suffix_start
         for vtx, r in segment_sources(suffix, 2 * inst.n + 3, base=suffix_start):
             batches[inst.q + r - 1] = [vtx]
@@ -291,7 +282,8 @@ def schedule_to_vc(inst: VcInstance, s: Schedule):
 
 @dataclass
 class Cnf3:
-    """3-CNF formula: triples of nonzero int literals in -n_vars..n_vars, else ReductionError."""
+    """3-CNF formula: triples (tuples or lists) of nonzero int literals in
+    -n_vars..n_vars, else ReductionError; the clauses are kept as tuples."""
 
     n_vars: int
     clauses: tuple[tuple[int, int, int], ...]
@@ -300,12 +292,15 @@ class Cnf3:
         _positive(self.n_vars, "variable count", ReductionError)
         clean = []
         for clause in self.clauses:
+            if not isinstance(clause, (tuple, list)):
+                raise ReductionError(f"bad clause {clause!r}")
+            clause = tuple(clause)
             if len(clause) != 3:
                 raise ReductionError(f"clause {clause} does not have exactly 3 literals")
             for lit in clause:
                 if not (_fits(lit, -self.n_vars, self.n_vars) and lit):
                     raise ReductionError(f"literal {lit} out of range for {self.n_vars} variables")
-            clean.append(tuple(clause))
+            clean.append(clause)
         self.clauses = tuple(clean)
 
 
@@ -333,15 +328,23 @@ class SatInstance:
     top_end: dict[int, int]
 
 
-def build_sat_instance(cnf: Cnf3) -> SatInstance:
-    """The 3-SAT scheduling gadget; ReductionError for no clause, or before any id is
-    made for a gadget of more than MAX_VERTICES vertices: 2n + 4n(n - 1) + |clauses|."""
+def _sat_gadget_size(cnf: Cnf3) -> int:
+    """The 3-SAT gadget's vertex count, for a formula with a clause: 2n literal
+    vertices, four paths of 2(n - i) vertices for each variable i, and one
+    vertex per clause."""
     if not cnf.clauses:
         raise ReductionError("formula must have at least one clause")
     n = cnf.n_vars
-    size = 2 * n + 4 * n * (n - 1) + len(cnf.clauses)
+    return 2 * n + 4 * n * (n - 1) + len(cnf.clauses)
+
+
+def build_sat_instance(cnf: Cnf3) -> SatInstance:
+    """The 3-SAT scheduling gadget; ReductionError for no clause, or before any id is
+    made for a gadget of more than MAX_VERTICES vertices (``_sat_gadget_size``)."""
+    size = _sat_gadget_size(cnf)
     if not _fits(size, 0, MAX_VERTICES):
         raise ReductionError(f"gadget of {size} vertices exceeds the vertex bound {MAX_VERTICES}")
+    n = cnf.n_vars
     lits = [lit for i in range(1, n + 1) for lit in (i, -i)]
     literal_vertex = {lit: v for v, lit in enumerate(lits)}
     # the literals of variable i each get a top and a bottom path of 2(n - i)
@@ -478,21 +481,15 @@ def parse_dimacs_cnf(text: str) -> Cnf3:
 
 
 def vc_instance_meta(inst: VcInstance) -> dict:
+    """The cover gadget's sidecar: the graph, k, budget and variant it was built from."""
     return {
         "kind": "vc-burning-instance",
-        "n": inst.n,
+        "n": inst.original_n,
+        "edges": [list(edge) for edge in original_edges(inst)],
         "k": inst.k,
-        "q": inst.q,
+        "q": inst.original_q,
         "connected": inst.connected,
-        "roles": [list(role) for role in inst.roles],
     }
-
-
-def _field(meta: dict, key: str, lo: float, hi: float = inf) -> int:
-    x = meta[key]
-    if not _fits(x, lo, hi):
-        raise ReductionError(f"bad {key} {x!r}")
-    return x
 
 
 def _list(meta: dict, key: str) -> list:
@@ -502,92 +499,63 @@ def _list(meta: dict, key: str) -> list:
     return xs
 
 
-def _role(role, n: int) -> Role:
-    if isinstance(role, list) and role and isinstance(role[0], str) and role[0] in _ROLE_FIELDS:
-        ids, indices = _ROLE_FIELDS[role[0]]
-        if (len(role) == 1 + ids + indices
-                and all(_fits(x, 0, n - 1) for x in role[1:1 + ids])
-                and all(_fits(x, 1) for x in role[1 + ids:])):
-            return tuple(role)
-    raise ReductionError(f"bad role {role!r}")
+# A sidecar holds only a gadget's inputs.  Its loader checks them, compares
+# the vertex count they give with the graph's before anything of gadget
+# size is made, rebuilds the gadget, and returns it if it is the graph.
+_OTHER_SIZE = "sidecar describes a gadget of {} vertices, the graph has {}"
+_OTHER_GADGET = "graph is not the gadget its sidecar describes"
 
 
 def load_vc_instance(gprime: Graph, meta) -> VcInstance:
+    """The cover gadget a ``vc_instance_meta`` sidecar describes, if it is ``gprime``."""
     if not isinstance(meta, dict) or meta.get("kind") != "vc-burning-instance":
         raise ReductionError("metadata is not a vc-burning instance")
     try:
-        n = _field(meta, "n", 1, gprime.n)  # the gadget holds a copy of each base vertex
-        k, q = _field(meta, "k", 1), _field(meta, "q", 1, n)
-        connected = meta["connected"]
-        if type(connected) is not bool:
-            raise ReductionError(f"bad connected {connected!r}")
-        if connected and k != 1:
-            raise ReductionError("connected variant requires k=1")
-        roles = [_role(role, n) for role in _list(meta, "roles")]
-        if len(roles) != gprime.n:
-            raise ReductionError(f"{len(roles)} roles for {gprime.n} vertices")
-        return VcInstance(gprime, roles, n, k, q, connected)
+        n, edges = meta["n"], _list(meta, "edges")
+        k, q, connected = meta["k"], meta["q"], meta["connected"]
     except KeyError as e:
         raise ReductionError(f"metadata has no {e} field") from None
+    if not _fits(n, 1, gprime.n):  # the gadget holds a copy of each base vertex
+        raise ReductionError(f"bad n {n!r}")
+    if type(connected) is not bool:
+        raise ReductionError(f"bad connected {connected!r}")
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise ReductionError(f"bad edge {edge!r}")
+    try:
+        g = graph_from_edges(n, edges)
+    except ValueError as e:
+        raise ReductionError(f"bad edges: {e}") from None
+    size = _vc_gadget_size(g, k, q, connected)  # checks k and q
+    if size != gprime.n:
+        raise ReductionError(_OTHER_SIZE.format(size, gprime.n))
+    inst = build_vc_instance(g, k, q, connected)
+    if inst.gprime.adj != gprime.adj:
+        raise ReductionError(_OTHER_GADGET)
+    return inst
 
 
 def sat_instance_meta(si: SatInstance) -> dict:
+    """The 3-SAT gadget's sidecar: the formula it was built from."""
     return {
         "kind": "sat-scheduling-instance",
         "n_vars": si.cnf.n_vars,
         "clauses": [list(c) for c in si.cnf.clauses],
-        "k": si.inst.k,
-        "rounds": 2 * si.cnf.n_vars,
-        "sources": list(si.inst.sources),
-        "literal_vertex": {str(lit): v for lit, v in si.literal_vertex.items()},
-        "clause_vertex": list(si.clause_vertex),
-        "top_end": {str(lit): v for lit, v in si.top_end.items()},
     }
 
 
-def _vertices(meta: dict, key: str, n: int) -> list[int]:
-    xs = _list(meta, key)
-    for x in xs:
-        if not _fits(x, 0, n - 1):
-            raise ReductionError(f"bad vertex {x!r} in {key}")
-    return xs
-
-
-def _literal_map(meta: dict, key: str, n_vars: int, n: int) -> dict[int, int]:
-    """``meta[key]`` as sat_instance_meta writes it: every literal to a vertex id."""
-    entries = meta[key]
-    if not isinstance(entries, dict):
-        raise ReductionError(f"bad {key} {entries!r}")
-    out: dict[int, int] = {}
-    for key_text, v in entries.items():
-        try:
-            lit = int(key_text)
-        except (TypeError, ValueError):
-            lit = 0  # not a literal, so out of range
-        if not (_fits(abs(lit), 1, n_vars) and _fits(v, 0, n - 1)):
-            raise ReductionError(f"bad {key} entry {key_text!r}: {v!r}")
-        out[lit] = v
-    if len(out) != 2 * n_vars:
-        raise ReductionError(f"{key} maps {len(out)} literals, expected {2 * n_vars}")
-    return out
-
-
 def load_sat_instance(graph: Graph, meta) -> SatInstance:
+    """The 3-SAT gadget a ``sat_instance_meta`` sidecar describes, if it is ``graph``."""
     if not isinstance(meta, dict) or meta.get("kind") != "sat-scheduling-instance":
         raise ReductionError("metadata is not a sat-scheduling instance")
     try:
-        n_vars = _field(meta, "n_vars", 1)
-        clauses = _list(meta, "clauses")
-        for c in clauses:
-            if not isinstance(c, list):
-                raise ReductionError(f"bad clause {c!r}")
-        cnf = Cnf3(n_vars, tuple(map(tuple, clauses)))  # checks arity and literals
-        n = graph.n
-        inst = SchedulingInstance(graph, tuple(_vertices(meta, "sources", n)), _field(meta, "k", 1))
-        literal_vertex = _literal_map(meta, "literal_vertex", n_vars, n)
-        if sorted(literal_vertex.values()) != list(inst.sources):
-            raise ReductionError("literal_vertex must map the literals onto the sources")
-        return SatInstance(inst, literal_vertex, tuple(_vertices(meta, "clause_vertex", n)), cnf,
-                           _literal_map(meta, "top_end", n_vars, n))
+        cnf = Cnf3(meta["n_vars"], tuple(_list(meta, "clauses")))
     except KeyError as e:
         raise ReductionError(f"metadata has no {e} field") from None
+    size = _sat_gadget_size(cnf)
+    if size != graph.n:
+        raise ReductionError(_OTHER_SIZE.format(size, graph.n))
+    si = build_sat_instance(cnf)
+    if si.inst.graph.adj != graph.adj:
+        raise ReductionError(_OTHER_GADGET)
+    return si

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from burnkit.cli import main
+from burnkit.graph import graph_from_edges, parse_graph, serialize_graph
 
 
 @pytest.fixture
@@ -163,15 +164,23 @@ def test_an_infinite_time_budget_sets_no_limit(capsys, p4):
     assert parse_report(out)["feasible"] == ["true"]
 
 
-VC_META_BAD_ROLES = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2,
-                     "connected": False, "roles": [["v", 0]]}
-# a well-formed two-variable instance over the 4-vertex path
-SAT_META_P4 = {"kind": "sat-scheduling-instance", "n_vars": 2, "clauses": [[1, 2, -1]],
-               "sources": [0, 1, 2, 3], "k": 1,
-               "literal_vertex": {"1": 0, "-1": 1, "2": 2, "-2": 3},
-               "clause_vertex": [3], "top_end": {"1": 0, "-1": 1, "2": 2, "-2": 3}}
-VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected": False,
-              "roles": [["v", v] for v in range(4)]}
+# the sidecars gen-vc (q 2) writes for the 4-vertex path, and gen-sat for
+# the formula (1 v 2 v -1) (golden_dir's vc.meta.json and sat.meta.json)
+VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+              "k": 1, "q": 2, "connected": False}
+SAT_META_P4 = {"kind": "sat-scheduling-instance", "n_vars": 2, "clauses": [[1, 2, -1]]}
+# sidecars of the former format, which listed each vertex's role (or the
+# literal and clause vertices), hand-written for the 4-vertex path itself
+VC_META_OLD = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected": False,
+               "roles": [["v", v] for v in range(4)]}
+SAT_META_OLD = {**SAT_META_P4, "sources": [0, 1, 2, 3], "k": 1,
+                "literal_vertex": {"1": 0, "-1": 1, "2": 2, "-2": 3},
+                "clause_vertex": [3], "top_end": {"1": 0, "-1": 1, "2": 2, "-2": 3}}
+
+
+def test_gen_sidecars_hold_only_the_gadgets_inputs(golden_dir):
+    for prefix, meta in (("vc", VC_META_P4), ("sat", SAT_META_P4)):
+        assert json.loads((golden_dir / f"{prefix}.meta.json").read_text()) == meta
 
 
 @pytest.mark.parametrize("argv, meta, first_line", [
@@ -185,7 +194,7 @@ VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected"
      "error parse connected variant requires k=1"),
     (["map-vc", "--cover", "1"], {"kind": "sat-scheduling-instance"},
      "error parse metadata is not a vc-burning instance"),
-    (["map-vc", "--cover", "1"], VC_META_BAD_ROLES, "error parse 1 roles for 4 vertices"),
+    (["map-vc", "--cover", "1"], VC_META_OLD, "error parse metadata has no 'edges' field"),
     (["map-sat", "--assignment", "1"], {"kind": "vc-burning-instance"},
      "error parse metadata is not a sat-scheduling instance"),
     (["map-sat", "--assignment", "1"],
@@ -204,35 +213,30 @@ VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected"
     (["map-vc", "--cover", "1"], [1], "error parse metadata is not a vc-burning instance"),
     (["map-sat", "--assignment", "1"], [1],
      "error parse metadata is not a sat-scheduling instance"),
-    (["map-vc", "--cover", "1"], {k: v for k, v in VC_META_P4.items() if k != "roles"},
-     "error parse metadata has no 'roles' field"),
-    (["map-vc", "--cover", "1"], {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], 0]},
-     "error parse bad role 0"),
-    (["map-vc", "--cover", "1"], {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], ["e"]]},
-     "error parse bad role ['e']"),
-    (["map-vc", "--cover", "1"],
-     {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], ["w", 3]]},
-     "error parse bad role ['w', 3]"),
-    (["map-vc", "--cover", "1"],
-     {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], ["iso", "3"]]},
-     "error parse bad role ['iso', '3']"),
+    (["map-vc", "--cover", "1"], {k: v for k, v in VC_META_P4.items() if k != "connected"},
+     "error parse metadata has no 'connected' field"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "edges": [[0, 1], [1, 2], 3]},
+     "error parse bad edge 3"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "edges": [[0, 1], [1, 2], [2]]},
+     "error parse bad edge [2]"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "edges": [[0, 1], [1, 2], [2, 2]]},
+     "error parse bad edges: self-loop at vertex 2"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "edges": [[0, 1], [1, 2], [2, "3"]]},
+     "error parse bad edges: edge endpoints must be ints"),
     (["map-sat", "--assignment", "1"], {"kind": "sat-scheduling-instance", "n_vars": 2},
      "error parse metadata has no 'clauses' field"),
-    (["map-sat", "--assignment", "1"],
-     {k: v for k, v in SAT_META_P4.items() if k != "literal_vertex"},
-     "error parse metadata has no 'literal_vertex' field"),
+    (["map-sat", "--assignment", "1"], {k: v for k, v in SAT_META_P4.items() if k != "n_vars"},
+     "error parse metadata has no 'n_vars' field"),
     (["map-vc", "--cover", "1"], {**VC_META_P4, "n": None}, "error parse bad n None"),
-    (["map-vc", "--cover", "1"], {**VC_META_P4, "roles": 5}, "error parse bad roles 5"),
-    (["map-vc", "--cover", "1"],
-     {**VC_META_P4, "roles": [["v", 0], ["v", 1], ["v", 2], ["v", 4]]},
-     "error parse bad role ['v', 4]"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "edges": 5}, "error parse bad edges 5"),
+    (["map-vc", "--cover", "1"], {**VC_META_P4, "edges": [[0, 1], [1, 2], [2, 4]]},
+     "error parse bad edges: edge (2,4) out of range for n=4"),
     (["map-sat", "--assignment", "1"], {**SAT_META_P4, "clauses": [1]},
      "error parse bad clause 1"),
-    (["map-sat", "--assignment", "1"], {**SAT_META_P4, "literal_vertex": []},
-     "error parse bad literal_vertex []"),
-    (["map-sat", "--assignment", "1"],
-     {**SAT_META_P4, "top_end": {"1": 0, "-1": 1, "3": 2, "-2": 3}},
-     "error parse bad top_end entry '3': 2"),
+    (["map-sat", "--assignment", "1"], {**SAT_META_P4, "clauses": {}},
+     "error parse bad clauses {}"),
+    (["map-sat", "--assignment", "1"], {**SAT_META_P4, "n_vars": 0},
+     "error parse variable count must be positive"),
     (["exact", "--max-rounds", 0], None, "error parse round budget must be positive"),
     (["exact", "--time-budget", "nan"], None,
      "error parse time budget must be a non-negative number of seconds, got nan"),
@@ -246,14 +250,19 @@ VC_META_P4 = {"kind": "vc-burning-instance", "n": 4, "k": 1, "q": 2, "connected"
         "gen-vc-q", "gen-vc-connected-k", "map-vc-kind", "map-vc-roles",
         "map-sat-kind", "map-sat-literal", "map-sat-clause", "map-sat-repeated-variable",
         "map-sat-repeated-vertex", "map-sat-ordering-token", "map-vc-cover-token",
-        "map-vc-not-object", "map-sat-not-object", "map-vc-no-roles", "map-vc-role-not-list",
-        "map-vc-role-short", "map-vc-role-tag", "map-vc-role-field", "map-sat-no-clauses",
-        "map-sat-no-literal-vertex", "map-vc-n-null", "map-vc-roles-not-list",
-        "map-vc-role-range", "map-sat-clause-not-list", "map-sat-literal-vertex-not-object",
-        "map-sat-literal-key-range", "exact-rounds0", "exact-budget-nan",
+        "map-vc-not-object", "map-sat-not-object", "map-vc-no-connected", "map-vc-edge-not-list",
+        "map-vc-edge-short", "map-vc-edge-loop", "map-vc-edge-field", "map-sat-no-clauses",
+        "map-sat-no-n-vars", "map-vc-n-null", "map-vc-edges-not-list",
+        "map-vc-edge-range", "map-sat-clause-not-list", "map-sat-clauses-not-list",
+        "map-sat-n-vars-range", "exact-rounds0", "exact-budget-nan",
         "exact-budget-negative", "schedule-budget-nan", "schedule-budget-negative"])
-def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, argv, meta, first_line):
-    argv = [*argv, "--graph", p4]
+def test_bad_instance_input_is_a_parse_error(capsys, tmp_path, p4, golden_dir, argv, meta,
+                                             first_line):
+    # the sidecar of a real gadget goes with that gadget's graph, so the row
+    # gets past the sidecar to the check it names
+    graph = ("vc.graph.txt" if meta is VC_META_P4 else
+             "sat.graph.txt" if meta is SAT_META_P4 else p4)
+    argv = [*argv, "--graph", graph]
     if argv[0] == "gen-vc":
         argv += ["--out", tmp_path / "vc"]
     if meta is not None:
@@ -330,19 +339,20 @@ def test_map_vc_reads_and_maps_before_it_prints(capsys, tmp_path, p3_gadget, tex
     assert err.splitlines()[0] == first_line.format(sched)
 
 
-@pytest.mark.parametrize("field, value, cover, first_line", [
-    ("k", 100, "1", "error invalid 9 isolated vertices, a cover of 1 with k=100 needs 99"),
-    ("connected", True, "", "error invalid instance has no backbone vertex 10"),
-])
+@pytest.mark.parametrize("field, value, cover, size", [
+    ("k", 100, "1", 61612), ("connected", True, "", 256),
+], ids=["k", "connected"])
 def test_map_vc_on_a_sidecar_short_of_the_vertices_it_asks_for(
-    capsys, p3_gadget, field, value, cover, first_line
+    capsys, p3_gadget, field, value, cover, size
 ):
+    # the sidecar's gadget is larger than the 34-vertex graph: refused before it is built
     graph, meta_file, meta = p3_gadget
     meta_file.write_text(json.dumps({**meta, field: value}))
     code, out, err = run(capsys, "map-vc", "--graph", graph, "--meta", meta_file,
                          f"--cover={cover}")
-    assert (code, out) == (1, "")
-    assert err.splitlines()[0] == first_line
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (f"error parse sidecar describes a gadget of {size} vertices, "
+                                   "the graph has 34")
 
 
 @pytest.mark.parametrize("fields, first_line", [
@@ -360,13 +370,57 @@ def test_map_vc_rejects_a_sidecar_whose_rounds_outgrow_its_gadget(
     assert err.splitlines()[0] == first_line
 
 
-def test_map_sat_rejects_literal_vertices_that_are_not_the_sources(capsys, tmp_path, p4):
-    meta_file = tmp_path / "meta.json"
-    meta_file.write_text(json.dumps({**SAT_META_P4, "sources": [0, 1, 2]}))
-    code, out, err = run(capsys, "map-sat", "--graph", p4, "--meta", meta_file,
-                         "--ordering", "1@1,0@2,2@3")
+def test_map_sat_rejects_literal_vertices_that_are_not_the_sources(capsys, golden_dir):
+    # the gadget with literal vertex 0 and top-path vertex 4 swapped: the
+    # sources 0..3 of the formula's gadget are no longer its literal vertices
+    g = parse_graph((golden_dir / "sat.graph.txt").read_text())
+    swap = {0: 4, 4: 0}
+    edges = [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges()]
+    (golden_dir / "swapped.txt").write_text(serialize_graph(graph_from_edges(g.n, edges)))
+    code, out, err = run(capsys, "map-sat", "--graph", "swapped.txt", "--meta", "sat.meta.json",
+                         "--ordering", "1@1,0@2,2@3,3@4")
     assert (code, out) == (2, "")
-    assert err.splitlines()[0] == "error parse literal_vertex must map the literals onto the sources"
+    assert err.splitlines()[0] == "error parse graph is not the gadget its sidecar describes"
+
+
+# each map-* direction on the 4-vertex path with a sidecar of the former
+# format, which the path's own roles once satisfied
+@pytest.mark.parametrize("argv, first_line", [
+    (["map-vc", "--meta", "vc-old.json", "--cover", "1,2"],
+     "error parse metadata has no 'edges' field"),
+    (["map-vc", "--meta", "vc-old.json", "--schedule", "ok.txt"],
+     "error parse metadata has no 'edges' field"),
+    (["map-sat", "--meta", "sat-old.json", "--assignment", "1,2"],
+     "error parse sidecar describes a gadget of 13 vertices, the graph has 4"),
+    (["map-sat", "--meta", "sat-old.json", "--ordering", "1@1,0@2,2@3,3@4"],
+     "error parse sidecar describes a gadget of 13 vertices, the graph has 4"),
+], ids=["map-vc-cover", "map-vc-schedule", "map-sat-assignment", "map-sat-ordering"])
+def test_map_refuses_a_former_sidecar_beside_a_graph_that_is_no_gadget(
+    capsys, golden_dir, argv, first_line
+):
+    (golden_dir / "vc-old.json").write_text(json.dumps(VC_META_OLD))
+    (golden_dir / "sat-old.json").write_text(json.dumps(SAT_META_OLD))
+    code, out, err = run(capsys, *argv, "--graph", "g.txt")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == first_line
+
+
+# a sidecar of the same vertex count as the gadget beside it, but for
+# another gadget: one base edge moved, or one literal's sign flipped
+@pytest.mark.parametrize("prefix, meta, direction", [
+    ("vc", {**VC_META_P4, "edges": [[0, 1], [1, 2], [1, 3]]}, ["--cover", "1,2"]),
+    ("vc", {**VC_META_P4, "edges": [[0, 1], [1, 2], [1, 3]]}, ["--schedule", "vc.s.txt"]),
+    ("sat", {**SAT_META_P4, "clauses": [[1, -2, -1]]}, ["--assignment", "1,2"]),
+    ("sat", {**SAT_META_P4, "clauses": [[1, -2, -1]]}, ["--ordering", "1@1,0@2,2@3,3@4"]),
+], ids=["map-vc-cover", "map-vc-schedule", "map-sat-assignment", "map-sat-ordering"])
+def test_map_refuses_the_sidecar_of_another_gadget_of_the_same_size(
+    capsys, golden_dir, prefix, meta, direction
+):
+    (golden_dir / "other.json").write_text(json.dumps(meta))
+    code, out, err = run(capsys, f"map-{prefix}", "--graph", f"{prefix}.graph.txt",
+                         "--meta", "other.json", *direction)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error parse graph is not the gadget its sidecar describes"
 
 
 def test_sat_generation_and_mapping(capsys, tmp_path):

@@ -635,7 +635,7 @@ def test_exact_matches_the_path_formula_at_depths_the_packing_bound_reads():
             assert exact_burning_number(path_graph(n), k)[0] == path_burning_number(n, k), (n, k)
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -1.0, -float("inf")])
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -float("inf"), "1"])
 def test_a_nan_or_negative_budget_is_rejected_before_any_work(monkeypatch, budget):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")

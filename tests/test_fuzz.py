@@ -94,7 +94,7 @@ def _mutate(rng: random.Random, text: str) -> str:
         a, b = rng.choice(spans)
         return text[:a] + rng.choice(["-1", "0", "7", "99"]) + text[b:]
     doc = json.loads(text)
-    # mostly a top-level field, else any value (most of those are role fields)
+    # mostly a top-level field, else any value (most of those are edge endpoints)
     path = rng.choice([(key,) for key in doc] if rng.random() < 0.8 else list(_json_slots(doc))[1:])
     slot = doc
     for key in path[:-1]:

@@ -205,6 +205,13 @@ def test_cycle_above_the_vertex_bound_makes_no_edge(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_cycle_is_the_graph_of_its_edges():
+    # the ascending pairs (0,1), (0,n-1), (1,2), ... give the same lists
+    for n in range(3, 13):
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        assert cycle_graph(n).adj == graph_from_edges(n, edges).adj, n
+
+
 @pytest.mark.parametrize("build,allowance", [
     # the whole-text parser peaked 7.1 MB above this graph, in its list of lines
     (lambda: serialize_graph(grid_graph(300, 300)), 4 << 20),

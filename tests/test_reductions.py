@@ -387,6 +387,25 @@ def test_sat_meta_round_trip():
     assert again.top_end == si.top_end
 
 
+@pytest.mark.parametrize("load, meta", [
+    (load_sat_instance, {"kind": "sat-scheduling-instance", "n_vars": 5000, "clauses": [[1, 2, 3]]}),
+    (load_vc_instance, {"kind": "vc-burning-instance", "n": 3, "edges": [[0, 1], [1, 2]],
+                        "k": 100000, "q": 1, "connected": False}),
+])
+def test_a_sidecar_for_a_larger_gadget_is_refused_before_it_is_built(load, meta):
+    # the counts differ (about 10**8 and 6 * 10**10 vertices against 4), so
+    # nothing of gadget size is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(ReductionError, match=r"^sidecar describes a gadget of \d+ vertices, "
+                                                 r"the graph has 4$"):
+            load(path_graph(4), meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_sat_structural_invariants_random():
     rng = random.Random(21)
     for _ in range(20):
@@ -488,4 +507,6 @@ def test_cnf_validation():
         Cnf3(2, ((1, 2, 0),))
     with pytest.raises(ReductionError):
         Cnf3(2, ((1, 2, 3),))
+    with pytest.raises(ReductionError, match="^bad clause 5$"):
+        Cnf3(3, (5,))  # a clause that is not a list or tuple
     assert satisfies(Cnf3(2, ((1, -2, 1),)), {1: False, 2: False})
