@@ -2,9 +2,13 @@
 
 Reports are line-oriented ``key value`` text on stdout, deterministic
 byte-for-byte across runs (timing goes to stderr so golden files stay
-stable).  Subcommands return nothing or raise; ``main`` alone turns an
-exception into the exit status and one ``error <label> <reason>`` line
-on stderr, before the ``elapsed_ms`` line every run ends with:
+stable).  Subcommands print nothing: each returns its report as a list of
+lines, or raises.  ``main`` alone writes stdout, and only after the
+subcommand has returned, so a failed run leaves stdout empty; the one
+failure with a report is an invalid ``simulate`` schedule, whose error
+carries the report for ``main`` to write.  ``main`` turns an exception
+into the exit status and one ``error <label> <reason>`` line on stderr,
+before the ``elapsed_ms`` line every run ends with:
 
 - 0: success;
 - 1 ``invalid``: a ``RuntimeError``, i.e. an invalid ``simulate``
@@ -12,8 +16,9 @@ on stderr, before the ``elapsed_ms`` line every run ends with:
 - 2 ``parse``: a ``ValueError``, i.e. a usage error, any unreadable or
   malformed input (gadget sidecars included, and a sidecar that describes
   a gadget other than the graph beside it), an output file that cannot
-  be written, a ``--max-rounds`` below 1 or a negative or NaN
-  ``--time-budget`` (argparse's errors exit 2 too);
+  be written, a stdout that cannot be written (e.g. a closed pipe), a
+  ``--max-rounds`` below 1 or a negative or NaN ``--time-budget``
+  (argparse's errors exit 2 too);
 - 3 ``limit``: an ``UndeterminedError``, i.e. ``--max-rounds`` or
   ``--time-budget`` ran out, or a ``MemoryError`` in any phase (``error
   limit out of memory``), e.g. a graph header claiming more vertices than
@@ -23,7 +28,9 @@ on stderr, before the ``elapsed_ms`` line every run ends with:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -31,10 +38,10 @@ from pathlib import Path
 from .approx import approx_schedule, lower_bound
 from .burning import (
     Schedule,
-    ScheduleError,
     parse_schedule,
     serialize_schedule,
     simulate,
+    validate_schedule,
 )
 from .exact import (
     SchedulingInstance,
@@ -42,7 +49,7 @@ from .exact import (
     exact_burning_number,
     schedule_sources,
 )
-from .graph import parse_graph, serialize_graph
+from .graph import Graph, parse_graph, serialize_graph
 from .paths import optimal_path_schedule, path_burning_number
 from .reductions import (
     ReductionError,
@@ -60,6 +67,14 @@ from .reductions import (
 )
 
 
+class _InvalidReport(RuntimeError):
+    """An invalid certificate that still has a report to print."""
+
+    def __init__(self, reason: str, report: list[str]):
+        super().__init__(reason)
+        self.report = report
+
+
 def _read(what: str, path: str, parse):
     """``parse`` of the file's text; a failure to read or parse it names the file."""
     try:
@@ -68,12 +83,26 @@ def _read(what: str, path: str, parse):
         raise ValueError(f"{what} {path}: {e}") from e
 
 
+def _read_schedule(path: str, g: Graph) -> Schedule:
+    """The schedule in the file, checked against ``g``, so a bad vertex id names the file too."""
+    def parse(text: str) -> Schedule:
+        s = parse_schedule(text)
+        validate_schedule(g, s)
+        return s
+    return _read("schedule", path, parse)
+
+
 def _write(what: str, path: str, text: str) -> None:
     """Write ``text`` to the file; a failure to write it names the file, as ``_read`` does."""
     try:
         Path(path).write_text(text)
     except OSError as e:
         raise ValueError(f"{what} {path}: {e}") from e
+
+
+def _join(key: str, values) -> str:
+    """One report line: the key, then the values, space-separated."""
+    return " ".join([key, *map(str, values)])
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -98,146 +127,110 @@ def _parse_ordering(text: str) -> dict[int, int]:
     return ordering
 
 
-def _write_schedule(s: Schedule, out: str | None) -> None:
-    """Write the schedule to ``out`` when that is given.
-
-    Commands call this before their first stdout line, so that an
-    unwritable file leaves stdout empty, as an unreadable input does.
-    """
+def _schedule_report(s: Schedule, out: str | None) -> list[str]:
+    """Write the schedule to ``out`` when that is given; return its report lines."""
     if out:
         _write("schedule", out, serialize_schedule(s))
+    lines = [f"k {s.k}", f"rounds {len(s.rounds)}"]
+    lines += [_join(f"schedule_round {i}", batch) for i, batch in enumerate(s.rounds, start=1)]
+    return [*lines, f"schedule_file {out}"] if out else lines
 
 
-def _report_schedule(s: Schedule, out: str | None) -> None:
-    """Print the schedule, and the file ``_write_schedule`` wrote it to."""
-    print("k", s.k)
-    print("rounds", len(s.rounds))
-    for i, batch in enumerate(s.rounds, start=1):
-        print("schedule_round", i, *batch)
-    if out:
-        print("schedule_file", out)
-
-
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
-    s = _read("schedule", args.schedule, parse_schedule)
-    try:
-        report = simulate(g, s)
-    except ScheduleError as e:
-        raise ValueError(f"schedule: {e}") from e
-    print("command", "simulate")
-    print("graph", args.graph)
-    print("schedule", args.schedule)
-    print("n", g.n)
-    print("m", g.m)
-    print("k", s.k)
-    print("valid", "true" if report.valid else "false")
-    print("completion_round", report.completion_round)
+    s = _read_schedule(args.schedule, g)
+    report = simulate(g, s)
     # each distinct round formatted once, then one join
     names = {r: "-" if r is None else str(r) for r in set(report.burn_round)}
-    print(" ".join(["burn_round", *map(names.__getitem__, report.burn_round)]))
-    for v in report.violations:
-        print("violation", v.round, v.vertex, v.reason)
+    lines = [
+        "command simulate", f"graph {args.graph}", f"schedule {args.schedule}",
+        f"n {g.n}", f"m {g.m}", f"k {s.k}",
+        f"valid {'true' if report.valid else 'false'}",
+        f"completion_round {report.completion_round}",
+        " ".join(["burn_round", *map(names.__getitem__, report.burn_round)]),
+        *(f"violation {v.round} {v.vertex} {v.reason}" for v in report.violations),
+    ]
     if not report.valid:
-        raise RuntimeError(report.violations[0].reason)
+        raise _InvalidReport(report.violations[0].reason, lines)
+    return lines
 
 
-def _cmd_lower_bound(args) -> None:
+def _cmd_lower_bound(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     j = lower_bound(g, args.k, verify_linear=args.verify_linear)
-    print("command", "lower-bound")
-    print("graph", args.graph)
-    print("n", g.n)
-    print("m", g.m)
-    print("k", args.k)
-    print("verify_linear", "true" if args.verify_linear else "false")
-    print("lower_bound", j)
+    return [
+        "command lower-bound", f"graph {args.graph}", f"n {g.n}", f"m {g.m}", f"k {args.k}",
+        f"verify_linear {'true' if args.verify_linear else 'false'}",
+        f"lower_bound {j}",
+    ]
 
 
-def _cmd_approx(args) -> None:
+def _cmd_approx(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     result = approx_schedule(g, args.k)
-    _write_schedule(result.schedule, args.schedule_out)
-    print("command", "approx")
-    print("graph", args.graph)
-    print("n", g.n)
-    print("m", g.m)
-    print("k", args.k)
-    print("lower_bound", result.lower_bound)
-    print("completion_round", result.completion)
-    print("ratio_bound", 3 * result.lower_bound)
-    _report_schedule(result.schedule, args.schedule_out)
+    return [
+        "command approx", f"graph {args.graph}", f"n {g.n}", f"m {g.m}", f"k {args.k}",
+        f"lower_bound {result.lower_bound}", f"completion_round {result.completion}",
+        f"ratio_bound {3 * result.lower_bound}",
+        *_schedule_report(result.schedule, args.schedule_out),
+    ]
 
 
-def _cmd_exact(args) -> None:
+def _cmd_exact(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     b, witness = exact_burning_number(
         g, args.k, max_rounds=args.max_rounds, time_budget=args.time_budget
     )
-    _write_schedule(witness, args.schedule_out)
-    print("command", "exact")
-    print("graph", args.graph)
-    print("n", g.n)
-    print("m", g.m)
-    print("k", args.k)
-    print("burning_number", b)
-    _report_schedule(witness, args.schedule_out)
+    return [
+        "command exact", f"graph {args.graph}", f"n {g.n}", f"m {g.m}", f"k {args.k}",
+        f"burning_number {b}",
+        *_schedule_report(witness, args.schedule_out),
+    ]
 
 
-def _cmd_schedule(args) -> None:
+def _cmd_schedule(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     sources = _parse_ints(args.sources, "source")
     inst = SchedulingInstance(g, tuple(sources), args.k)
     # the budget printed is the one solved: ceil(#sources / k) by default
     rounds = -(-len(inst.sources) // args.k) if args.max_rounds is None else args.max_rounds
     assignment = schedule_sources(inst, rounds=rounds, time_budget=args.time_budget)
-    print("command", "schedule")
-    print("graph", args.graph)
-    print("k", args.k)
-    print("sources", *inst.sources)
-    print("round_budget", rounds)
+    lines = ["command schedule", f"graph {args.graph}", f"k {args.k}",
+             _join("sources", inst.sources), f"round_budget {rounds}"]
     if assignment is None:
-        print("feasible", "false")
-    else:
-        print("feasible", "true")
-        for v, r in assignment.items():
-            print("ignite", v, r)
+        return lines + ["feasible false"]
+    return lines + ["feasible true", *(f"ignite {v} {r}" for v, r in assignment.items())]
 
 
-def _cmd_gen_vc(args) -> None:
+def _cmd_gen_vc(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     inst = build_vc_instance(g, args.k, args.q, connected=args.connected)
     graph_path = f"{args.out}.graph.txt"
     meta_path = f"{args.out}.meta.json"
     _write("graph", graph_path, serialize_graph(inst.gprime))
     _write("metadata", meta_path, json.dumps(vc_instance_meta(inst)) + "\n")
-    print("command", "gen-vc")
-    print("graph", args.graph)
-    print("k", args.k)
-    print("q", args.q)
-    print("connected", "true" if args.connected else "false")
-    print("gadget_n", inst.gprime.n)
-    print("gadget_m", inst.gprime.m)
-    print("round_bound", inst.round_bound)
-    print("graph_file", graph_path)
-    print("meta_file", meta_path)
+    return [
+        "command gen-vc", f"graph {args.graph}", f"k {args.k}", f"q {args.q}",
+        f"connected {'true' if args.connected else 'false'}",
+        f"gadget_n {inst.gprime.n}", f"gadget_m {inst.gprime.m}",
+        f"round_bound {inst.round_bound}",
+        f"graph_file {graph_path}", f"meta_file {meta_path}",
+    ]
 
 
-def _cmd_gen_sat(args) -> None:
+def _cmd_gen_sat(args) -> list[str]:
     si = _read("cnf", args.cnf, lambda text: build_sat_instance(parse_dimacs_cnf(text)))
     graph_path = f"{args.out}.graph.txt"
     meta_path = f"{args.out}.meta.json"
     _write("graph", graph_path, serialize_graph(si.inst.graph))
     _write("metadata", meta_path, json.dumps(sat_instance_meta(si)) + "\n")
-    print("command", "gen-sat")
-    print("cnf", args.cnf)
-    print("variables", si.cnf.n_vars)
-    print("clauses", len(si.cnf.clauses))
-    print("gadget_n", si.inst.graph.n)
-    print("gadget_m", si.inst.graph.m)
-    print("round_budget", 2 * si.cnf.n_vars)
-    print("graph_file", graph_path)
-    print("meta_file", meta_path)
+    return [
+        "command gen-sat", f"cnf {args.cnf}",
+        f"variables {si.cnf.n_vars}", f"clauses {len(si.cnf.clauses)}",
+        f"gadget_n {si.inst.graph.n}", f"gadget_m {si.inst.graph.m}",
+        f"round_budget {2 * si.cnf.n_vars}",
+        f"graph_file {graph_path}", f"meta_file {meta_path}",
+    ]
 
 
 def _mapped(fn, *args):
@@ -248,75 +241,54 @@ def _mapped(fn, *args):
         raise RuntimeError(str(e)) from e
 
 
-def _cmd_map_vc(args) -> None:
+def _cmd_map_vc(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     inst = load_vc_instance(g, _read("metadata", args.meta, json.loads))
     if (args.cover is None) == (args.schedule is None):
         raise ValueError("map-vc needs exactly one of --cover or --schedule")
-    # read, map and write before the first stdout line, so a failure prints nothing
+    lines = ["command map-vc", f"graph {args.graph}", f"meta {args.meta}"]
     if args.cover is not None:
         cover = _parse_ints(args.cover, "cover")
         sched, completion = _mapped(_vc_to_schedule, inst, cover)
-        _write_schedule(sched, args.schedule_out)
-    else:
-        sched = _read("schedule", args.schedule, parse_schedule)
-        cover = _mapped(schedule_to_vc, inst, sched)
-    print("command", "map-vc")
-    print("graph", args.graph)
-    print("meta", args.meta)
-    if args.cover is not None:
-        print("direction", "cover-to-schedule")
-        print("cover", *sorted(set(cover)))
-        print("completion_round", completion)
-        _report_schedule(sched, args.schedule_out)
-    else:
-        print("direction", "schedule-to-cover")
-        print("cover_size", len(cover))
-        print("cover", *cover)
+        return lines + [
+            "direction cover-to-schedule",
+            _join("cover", sorted(set(cover))),
+            f"completion_round {completion}",
+            *_schedule_report(sched, args.schedule_out),
+        ]
+    cover = _mapped(schedule_to_vc, inst, _read_schedule(args.schedule, g))
+    return lines + ["direction schedule-to-cover", f"cover_size {len(cover)}",
+                    _join("cover", cover)]
 
 
-def _cmd_map_sat(args) -> None:
+def _cmd_map_sat(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     si = load_sat_instance(g, _read("metadata", args.meta, json.loads))
     if (args.assignment is None) == (args.ordering is None):
         raise ValueError("map-sat needs exactly one of --assignment or --ordering")
-    # parse and map before the first stdout line, as map-vc does
+    lines = ["command map-sat", f"graph {args.graph}", f"meta {args.meta}"]
     if args.assignment is not None:
         lits = _parse_ints(args.assignment, "assignment")
         if sorted(map(abs, lits)) != list(range(1, si.cnf.n_vars + 1)):
             raise ValueError("assignment must mention each variable exactly once")
         ordering = _mapped(assignment_to_schedule, si, {abs(l): l > 0 for l in lits})
-    else:
-        assignment = _mapped(schedule_to_assignment, si, _parse_ordering(args.ordering))
-    print("command", "map-sat")
-    print("graph", args.graph)
-    print("meta", args.meta)
-    if args.assignment is not None:
-        print("direction", "assignment-to-ordering")
-        for v, r in sorted(ordering.items()):
-            print("ignite", v, r)
-    else:
-        print("direction", "ordering-to-assignment")
-        print("assignment", *((j if val else -j) for j, val in sorted(assignment.items())))
+        return lines + ["direction assignment-to-ordering",
+                        *(f"ignite {v} {r}" for v, r in sorted(ordering.items()))]
+    assignment = _mapped(schedule_to_assignment, si, _parse_ordering(args.ordering))
+    literals = ((j if val else -j) for j, val in sorted(assignment.items()))
+    return lines + ["direction ordering-to-assignment", _join("assignment", literals)]
 
 
-def _cmd_path_number(args) -> None:
+def _cmd_path_number(args) -> list[str]:
     b = path_burning_number(args.n, args.k)
-    print("command", "path-number")
-    print("n", args.n)
-    print("k", args.k)
-    print("burning_number", b)
+    return ["command path-number", f"n {args.n}", f"k {args.k}", f"burning_number {b}"]
 
 
-def _cmd_path_schedule(args) -> None:
+def _cmd_path_schedule(args) -> list[str]:
     sched = optimal_path_schedule(args.n, args.k)
     b = path_burning_number(args.n, args.k)
-    _write_schedule(sched, args.schedule_out)
-    print("command", "path-schedule")
-    print("n", args.n)
-    print("k", args.k)
-    print("burning_number", b)
-    _report_schedule(sched, args.schedule_out)
+    return ["command path-schedule", f"n {args.n}", f"k {args.k}", f"burning_number {b}",
+            *_schedule_report(sched, args.schedule_out)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -407,25 +379,38 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    code, error, report = 0, "", []
     try:
-        args.fn(args)
+        report = args.fn(args)
     except UndeterminedError as e:  # a RuntimeError, so it is caught first
-        print(f"error limit {e}", file=sys.stderr)
-        return 3
+        code, error = 3, f"limit {e}"
     except MemoryError:
-        print("error limit out of memory", file=sys.stderr)
-        return 3
+        code, error = 3, "limit out of memory"
     except ValueError as e:
-        print(f"error parse {e}", file=sys.stderr)
-        return 2
+        code, error = 2, f"parse {e}"
     except RuntimeError as e:
         # an invalid certificate, or a failed internal certification
-        print(f"error invalid {e}", file=sys.stderr)
-        return 1
-    finally:
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        print(f"elapsed_ms {elapsed_ms:.2f}", file=sys.stderr)
-    return 0
+        code, error = 1, f"invalid {e}"
+        report = getattr(e, "report", [])
+    try:
+        out = sys.stdout
+        for line in report:
+            out.write(line)
+            out.write("\n")
+        out.flush()
+    except OSError as e:  # e.g. a closed pipe
+        # what is left in the buffer goes to devnull, so the flush at exit cannot fail
+        # again; a stdout with no file descriptor has nothing to flush at exit
+        with contextlib.suppress(OSError, ValueError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        code, error = 2, f"parse stdout: {e}"
+    if code:
+        print(f"error {error}", file=sys.stderr)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    print(f"elapsed_ms {elapsed_ms:.2f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from burnkit.cli import main
+import burnkit
+from burnkit.cli import _build_parser, main
 from burnkit.graph import graph_from_edges, parse_graph, serialize_graph
 
 
@@ -328,7 +333,7 @@ def p3_gadget(capsys, tmp_path):
 
 @pytest.mark.parametrize("text, first_line", [
     ("1 1\n0 x\n", "error parse schedule {}: line 2: batches must be space-separated integers"),
-    ("1 1\n99\n", "error parse round 1: invalid vertex id 99"),
+    ("1 1\n99\n", "error parse schedule {}: round 1: invalid vertex id 99"),
 ])
 def test_map_vc_reads_and_maps_before_it_prints(capsys, tmp_path, p3_gadget, text, first_line):
     graph, meta, _ = p3_gadget
@@ -564,6 +569,22 @@ def test_golden_stdout(capsys, golden_dir, argv, code, out):
     assert run(capsys, *argv)[:2] == (code, out)
 
 
+@pytest.mark.parametrize("argv, code, out", [row[1:] for row in GOLDEN],
+                         ids=[row[0] for row in GOLDEN])
+def test_commands_return_their_reports_and_print_nothing(capsys, golden_dir, argv, code, out):
+    # main alone writes stdout: a command returns its report, and the one
+    # failure with a report, an invalid simulate schedule, raises it
+    args = _build_parser().parse_args(argv)
+    if code == 0:
+        report = args.fn(args)
+    else:
+        with pytest.raises(RuntimeError) as raised:
+            args.fn(args)
+        report = raised.value.report
+    assert capsys.readouterr().out == ""
+    assert "".join(f"{line}\n" for line in report) == out
+
+
 def test_exit_routes(capsys, tmp_path, p4, monkeypatch):
     def broken(g, k):
         raise RuntimeError("certification failed")
@@ -609,6 +630,38 @@ def test_unwritable_output_is_a_parse_error(capsys, golden_dir, argv, named):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.splitlines()[0].startswith(f"error parse {named}: ")
+
+
+@pytest.mark.parametrize("argv", [["path-number", "--n", "9"],
+                                  ["path-schedule", "--n", "200000"],
+                                  ["path-number", "--n", "0"]],
+                         ids=["path-number", "path-schedule-past-the-buffer", "parse-error"])
+def test_a_closed_stdout_is_a_parse_error(argv):
+    # the pipe's read end is closed before the child starts, so its first
+    # write fails: at the flush, or (11 kB of report) while the lines go out
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(burnkit.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "burnkit", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if argv[-1] == "0":  # nothing to write: the command's own error stands
+        assert lines[0] == "error parse n and k must be positive"
+    else:
+        assert lines[0].startswith("error parse stdout: ")
+    assert lines[-1].startswith("elapsed_ms ")
+
+
+def test_simulate_names_a_schedule_file_that_does_not_fit_the_graph(capsys, golden_dir):
+    (golden_dir / "far.txt").write_text("1 2\n1\n9\n")
+    code, out, err = run(capsys, "simulate", "--graph", "g.txt", "--schedule", "far.txt")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error parse schedule far.txt: round 2: invalid vertex id 9"
 
 
 def test_map_vc_prints_the_completion_its_certificate_gave(capsys, golden_dir, monkeypatch):

@@ -179,9 +179,10 @@ def _argv(rng: random.Random, paths: dict, scratch) -> list[str]:
 
 
 def _check_contract(argv: list, code: int, out: str, err: str) -> None:
-    """Exit 0-3, empty stdout on 2 and 3, elapsed_ms last (so no traceback after it)."""
+    """Exit 0-3, empty stdout on any failure but an invalid ``simulate`` schedule's,
+    elapsed_ms last (so no traceback after it)."""
     assert code in (0, 1, 2, 3), (argv, err)
-    if code in (2, 3):
+    if code in (2, 3) or (code == 1 and argv[0] != "simulate"):
         assert out == "", (argv, err)
     assert err.splitlines()[-1].startswith("elapsed_ms "), (argv, err)
 
