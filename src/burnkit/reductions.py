@@ -12,6 +12,13 @@ pendant path v0 - w - z to the input graph, builds the gadget for that
 enlarged graph with its enlarged budget, and strings the would-be
 isolated vertices on a backbone path hanging off w instead.
 
+The gadget's ids follow from arithmetic, which both mappings rely on.
+With B = 2 + 2nk + n and T = n + mB for the m encoded edges: the base
+vertices are 0..n-1; the i-th base edge (u, v), in ascending order, owns
+ids n + iB .. n + (i+1)B - 1, in the order uv, vu, d_1 .. d_{2nk},
+tail_1 .. tail_n; the ids from T up are the isolated vertices, which in
+the connected variant form one path from w through them in id order.
+
 3-SAT scheduling gadget: literal vertices are the fixed burning sources;
 the i-th positive and negative literals each carry a top and a bottom
 path of 2(n-i) vertices, and each clause vertex attaches to the far ends
@@ -36,16 +43,6 @@ class ReductionError(ValueError):
     """Invalid reduction input, or a certificate mapping whose assertions failed."""
 
 
-Role = tuple
-# Role tags, one per gadget vertex:
-#   ("v", x)          copy of base-graph vertex x
-#   ("e", a, b)       edge endpoint vertex on a's side of base edge {a, b}
-#   ("d", u, v, i)    i-th division vertex of base edge (u, v), u < v, i >= 1
-#   ("tail", u, v, i) i-th tail vertex of base edge (u, v)
-#   ("iso", i)        i-th isolated vertex (backbone anchor in the connected variant)
-#   ("backbone", i)   i-th non-anchor backbone path vertex (connected variant only)
-
-
 @dataclass
 class VcInstance:
     """Burning instance produced from a vertex-cover question.
@@ -53,11 +50,12 @@ class VcInstance:
     ``n`` and ``q`` describe the graph the gadget encodes: the input graph
     itself, or — in the connected variant — the input graph plus the
     pendant vertices w and z, with the budget enlarged by one for w.
-    ``roles`` is indexed by gadget vertex id.
+    ``base_edges`` are that graph's edges, each (u, v) with u < v, in
+    ascending order: the i-th owns the i-th block of gadget ids.
     """
 
     gprime: Graph
-    roles: list[Role]
+    base_edges: list[tuple[int, int]]
     n: int
     k: int
     q: int
@@ -74,6 +72,13 @@ class VcInstance:
     @property
     def round_bound(self) -> int:
         return self.q + 2 * self.n * self.k + 3
+
+
+def _vc_layout(n: int, m: int, k: int) -> tuple[int, int]:
+    """(B, T) for the gadget of n base vertices, m base edges and spread k:
+    each base edge's block of B ids, and T, the first id past the blocks."""
+    block = 2 + 2 * n * k + n
+    return block, n + m * block
 
 
 def _vc_gadget_size(g: Graph, k: int, q: int, connected: bool) -> int:
@@ -93,7 +98,12 @@ def _vc_gadget_size(g: Graph, k: int, q: int, connected: bool) -> int:
         rest = q + 2 * n + 2 + (2 * n + 3) ** 2  # the backbone
     else:
         rest = (k - 1) * q + k * (2 * n * k + 3)  # the isolated vertices
-    return n + m * (2 + 2 * n * k + n) + rest
+    return _vc_layout(n, m, k)[1] + rest
+
+
+def _path_ids(first: int, last: int) -> chain[int]:
+    """The path first - first + 1 - .. - last as a flat id list of its edges."""
+    return chain.from_iterable(zip(range(first, last), range(first + 1, last + 1)))
 
 
 def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcInstance:
@@ -106,77 +116,30 @@ def build_vc_instance(g: Graph, k: int, q: int, connected: bool = False) -> VcIn
     size = _vc_gadget_size(g, k, q, connected)
     if not _fits(size, 0, MAX_VERTICES):
         raise ReductionError(f"gadget of {size} vertices exceeds the vertex bound {MAX_VERTICES}")
-
-    if connected:
-        w, z = g.n, g.n + 1
-        base_n = g.n + 2
-        base_edges = sorted(list(g.edges()) + [(0, w), (w, z)])
-        budget = q + 1
-    else:
-        base_n = g.n
-        base_edges = sorted(g.edges())
-        budget = q
-
-    d_count = 2 * base_n * k
-    roles: list[Role] = []
-
-    def alloc(role: Role) -> int:
-        roles.append(role)
-        return len(roles) - 1
-
-    for x in range(base_n):
-        alloc(("v", x))
-
-    edges_out: list[tuple[int, int]] = []
-    for u, v in base_edges:
-        uv = alloc(("e", u, v))
-        vu = alloc(("e", v, u))
-        d_ids = [alloc(("d", u, v, i)) for i in range(1, d_count + 1)]
-        t_ids = [alloc(("tail", u, v, i)) for i in range(1, base_n + 1)]
-        chain = [u, uv, *d_ids, vu, v]
-        edges_out.extend(zip(chain, chain[1:]))
-        # tail hangs off the lower median division vertex d_{nk}
-        chain = [d_ids[base_n * k - 1], *t_ids]
-        edges_out.extend(zip(chain, chain[1:]))
-
-    if not connected:  # the isolated vertices fill the gadget out to its size
-        for i in range(1, size - len(roles) + 1):
-            alloc(("iso", i))
-    else:
-        # backbone off w: a run of q + 2n + 2 spacer vertices, then 2n + 3
-        # blocks of 2n + 2 spacers each ending in an anchor, so the part
-        # after the first run holds exactly (2n+3)^2 vertices
-        prev = w
-        bb = 0
-        for _ in range(budget + 2 * base_n + 2):
-            bb += 1
-            cur = alloc(("backbone", bb))
-            edges_out.append((prev, cur))
-            prev = cur
-        for j in range(1, 2 * base_n + 3 + 1):
-            for _ in range(2 * base_n + 2):
-                bb += 1
-                cur = alloc(("backbone", bb))
-                edges_out.append((prev, cur))
-                prev = cur
-            cur = alloc(("iso", j))
-            edges_out.append((prev, cur))
-            prev = cur
-
-    gprime = graph_from_edges(len(roles), edges_out)
-    return VcInstance(gprime, roles, base_n, k, budget, connected)
+    w = g.n  # the connected variant's pendant path is v0 - w - z
+    n = w + 2 if connected else w
+    edges = sorted([*g.edges(), (0, w), (w, w + 1)] if connected else g.edges())
+    block, top = _vc_layout(n, len(edges), k)
+    half = n * k  # d_{nk}, the lower median, is d_1 + nk - 1
+    ids: list[int] = []
+    for (u, v), uv in zip(edges, range(n, top, block)):
+        vu, d, t = uv + 1, uv + 2, uv + 2 + 2 * half  # d is d_1, t is tail_1
+        # u - uv - d_1, d_{2nk} - vu - v and d_{nk} - tail_1, then the paths
+        # d_1 .. d_{2nk} and tail_1 .. tail_n
+        ids += (u, uv, uv, d, t - 1, vu, vu, v, d + half - 1, t)
+        ids += _path_ids(d, t - 1)
+        ids += _path_ids(t, t + n - 1)
+    if connected:  # the backbone: w - T - T + 1 - .. - the last id
+        ids += (w, top)
+        ids += _path_ids(top, size - 1)
+    gprime = _graph_from_ids(size, ids)
+    return VcInstance(gprime, edges, n, k, q + 1 if connected else q, connected)
 
 
 def original_edges(inst: VcInstance) -> list[tuple[int, int]]:
-    """Edges of the user's input graph, recovered from the e-vertex roles."""
+    """Edges of the user's input graph: the base edges less the pendant ones."""
     # pairs are (min, max): bounding the larger endpoint bounds both
-    return [(u, v) for u, v in base_edges(inst) if v < inst.original_n]
-
-
-def base_edges(inst: VcInstance) -> list[tuple[int, int]]:
-    """Edges of the graph the gadget encodes (includes pendant edges when connected)."""
-    out = {(min(r[1], r[2]), max(r[1], r[2])) for r in inst.roles if r[0] == "e"}
-    return sorted(out)
+    return [(u, v) for u, v in inst.base_edges if v < inst.original_n]
 
 
 def vc_to_schedule(inst: VcInstance, cover) -> Schedule:
@@ -207,8 +170,9 @@ def _vc_to_schedule(inst: VcInstance, cover) -> tuple[Schedule, int]:
             raise ReductionError(f"not a vertex cover: edge ({u},{v}) untouched")
 
     k = inst.k
+    top = _vc_layout(inst.n, len(inst.base_edges), k)[1]
     if not inst.connected:
-        iso_ids = [i for i, role in enumerate(inst.roles) if role[0] == "iso"]
+        iso_ids = range(top, inst.gprime.n)
         extra = (k - 1) * len(cov)  # isolated vertices ignited beside the cover
         batches = [[c, *iso_ids[i * (k - 1):(i + 1) * (k - 1)]] for i, c in enumerate(cov)]
         batches += [iso_ids[i:i + k] for i in range(extra, len(iso_ids), k)]
@@ -217,7 +181,7 @@ def _vc_to_schedule(inst: VcInstance, cover) -> tuple[Schedule, int]:
         batches[0] = [inst.n - 2]  # w
         for i, c in enumerate(cov, start=1):
             batches[i] = [c]
-        suffix_start = inst.roles.index(("backbone", inst.q + 2 * inst.n + 3))
+        suffix_start = top + inst.q + 2 * inst.n + 2  # the last (2n + 3)^2 backbone ids
         suffix = inst.gprime.n - suffix_start
         for vtx, r in segment_sources(suffix, 2 * inst.n + 3, base=suffix_start):
             batches[inst.q + r - 1] = [vtx]
@@ -246,10 +210,8 @@ def schedule_to_vc(inst: VcInstance, s: Schedule):
     if len(s.rounds) > inst.round_bound or report.completion_round > inst.round_bound:
         raise ReductionError(f"schedule exceeds {inst.round_bound} rounds")
 
-    edges = base_edges(inst)  # each (b, c) with b < c
-    # each e, d and tail vertex to the base edge of its gadget
-    edge_of = {vid: tuple(sorted(role[1:3])) for vid, role in enumerate(inst.roles)
-               if role[0] in ("e", "d", "tail")}
+    edges = inst.base_edges  # each (b, c) with b < c
+    block = _vc_layout(inst.n, len(edges), inst.k)[0]
     far = inst.gprime.n + 1  # what an unreachable vertex counts as
     dist = {v: [far if d is None else d for d in bfs_distances(inst.gprime, [v]).dist]
             for v in {x for edge in edges for x in edge}}
@@ -257,10 +219,11 @@ def schedule_to_vc(inst: VcInstance, s: Schedule):
     radius = inst.n * inst.k + 1
     sources = [v for batch in s.rounds for v in batch]
     cover: set[int] = set()
-    for b, c in edges:
+    for i, (b, c) in enumerate(edges):
         db, dc = dist[b], dist[c]
+        lo = inst.n + i * block  # the first id of edge (b, c)'s gadget
         for src in sources:
-            if edge_of.get(src) == (b, c) or min(db[src], dc[src]) <= radius:
+            if lo <= src < lo + block or min(db[src], dc[src]) <= radius:
                 cover.add(b if db[src] <= dc[src] else c)
 
     for b, c in edges:
@@ -380,7 +343,7 @@ def build_sat_instance(cnf: Cnf3) -> SatInstance:
         for lit in lits:
             if length[lit]:
                 first, last = start[kind, lit], start[kind, lit] + length[lit] - 1
-                ids += chain.from_iterable(zip(range(first, last), range(first + 1, last + 1)))
+                ids += _path_ids(first, last)
                 if kind == "top":
                     for cid in attached[lit]:
                         ids += (last, cid)
@@ -453,9 +416,12 @@ def parse_dimacs_cnf(text: str) -> Cnf3:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if n_vars is not None or len(parts) != 4 or parts[1] != "cnf":
                 raise ReductionError(f"bad problem line: {line!r}")
-            n_vars, declared = int(parts[2]), int(parts[3])
+            try:
+                n_vars, declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ReductionError(f"bad problem line: {line!r}") from None
             continue
         try:
             tokens.extend(int(tok) for tok in line.split())

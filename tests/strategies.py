@@ -7,7 +7,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from burnkit import Graph, Schedule, graph_from_edges
+from burnkit import Graph, Schedule, graph_from_edges, original_edges
 
 
 @st.composite
@@ -134,6 +134,82 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
                 if alt < du[v]:
                     du[v] = alt
     return d
+
+
+def reference_vc_gadget(g: Graph, k: int, q: int, connected: bool = False):
+    """The role-tagging cover gadget builder that id arithmetic replaced: the
+    gadget graph and a role tag per vertex, allocated one id at a time.
+
+    Role tags:
+      ("v", x)          copy of base-graph vertex x
+      ("e", a, b)       edge endpoint vertex on a's side of base edge {a, b}
+      ("d", u, v, i)    i-th division vertex of base edge (u, v), u < v, i >= 1
+      ("tail", u, v, i) i-th tail vertex of base edge (u, v)
+      ("iso", i)        i-th isolated vertex (backbone anchor in the connected variant)
+      ("backbone", i)   i-th non-anchor backbone path vertex (connected variant only)
+    """
+    if connected:
+        w, z = g.n, g.n + 1
+        base_n = g.n + 2
+        base_edges = sorted(list(g.edges()) + [(0, w), (w, z)])
+        budget = q + 1
+    else:
+        base_n = g.n
+        base_edges = sorted(g.edges())
+        budget = q
+
+    d_count = 2 * base_n * k
+    roles: list[tuple] = []
+
+    def alloc(role: tuple) -> int:
+        roles.append(role)
+        return len(roles) - 1
+
+    for x in range(base_n):
+        alloc(("v", x))
+
+    edges_out: list[tuple[int, int]] = []
+    for u, v in base_edges:
+        uv = alloc(("e", u, v))
+        vu = alloc(("e", v, u))
+        d_ids = [alloc(("d", u, v, i)) for i in range(1, d_count + 1)]
+        t_ids = [alloc(("tail", u, v, i)) for i in range(1, base_n + 1)]
+        path = [u, uv, *d_ids, vu, v]
+        edges_out.extend(zip(path, path[1:]))
+        # tail hangs off the lower median division vertex d_{nk}
+        path = [d_ids[base_n * k - 1], *t_ids]
+        edges_out.extend(zip(path, path[1:]))
+
+    if not connected:
+        for i in range(1, (k - 1) * budget + k * (2 * base_n * k + 3) + 1):
+            alloc(("iso", i))
+    else:
+        # backbone off w: a run of q + 2n + 2 spacer vertices, then 2n + 3
+        # blocks of 2n + 2 spacers each ending in an anchor
+        prev = w
+        bb = 0
+        for _ in range(budget + 2 * base_n + 2):
+            bb += 1
+            cur = alloc(("backbone", bb))
+            edges_out.append((prev, cur))
+            prev = cur
+        for j in range(1, 2 * base_n + 3 + 1):
+            for _ in range(2 * base_n + 2):
+                bb += 1
+                cur = alloc(("backbone", bb))
+                edges_out.append((prev, cur))
+                prev = cur
+            cur = alloc(("iso", j))
+            edges_out.append((prev, cur))
+            prev = cur
+
+    return graph_from_edges(len(roles), edges_out), roles
+
+
+def reference_vc_roles(inst) -> list[tuple]:
+    """The reference builder's role tags for a VcInstance's gadget."""
+    g = graph_from_edges(inst.original_n, original_edges(inst))
+    return reference_vc_gadget(g, inst.k, inst.original_q, inst.connected)[1]
 
 
 def brute_force_min_cover(g: Graph) -> list[int]:

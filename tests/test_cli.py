@@ -428,6 +428,17 @@ def test_map_refuses_the_sidecar_of_another_gadget_of_the_same_size(
     assert err.splitlines()[0] == "error parse graph is not the gadget its sidecar describes"
 
 
+@pytest.mark.parametrize("text", ["p cnf x 1\n1 2 -1 0\n", "p cnf 3 1\np cnf 4 1\n1 2 4 0\n"],
+                         ids=["no-integer", "second-problem-line"])
+def test_gen_sat_refuses_a_bad_problem_line(capsys, tmp_path, text):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    code, out, err = run(capsys, "gen-sat", "--cnf", cnf, "--out", tmp_path / "sat")
+    assert (code, out) == (2, "")
+    bad = text.splitlines()[-2]  # the faulty problem line
+    assert err.splitlines()[0] == f"error parse cnf {cnf}: bad problem line: {bad!r}"
+
+
 def test_sat_generation_and_mapping(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 1\n1 2 -1 0\n")
@@ -655,6 +666,23 @@ def test_a_closed_stdout_is_a_parse_error(argv):
     else:
         assert lines[0].startswith("error parse stdout: ")
     assert lines[-1].startswith("elapsed_ms ")
+
+
+def test_library_imports_only_the_standard_library():
+    # what importing burnkit and its CLI adds to a bare interpreter's modules;
+    # the bare one is the baseline, since site hooks may load packages of their own
+    env = {**os.environ, "PYTHONPATH": str(Path(burnkit.__file__).parents[1])}
+
+    def modules(imports):
+        code = f"import sys\n{imports}\nprint(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env, check=True)
+        return set(proc.stdout.split())
+
+    added = modules("import burnkit, burnkit.cli") - modules("")
+    assert "burnkit.cli" in added
+    tops = {name.partition(".")[0] for name in added} - {"burnkit"}
+    assert tops <= sys.stdlib_module_names, tops - sys.stdlib_module_names
 
 
 def test_simulate_names_a_schedule_file_that_does_not_fit_the_graph(capsys, golden_dir):

@@ -38,7 +38,6 @@ from burnkit.approx import _greedy_scatter, _search_lower_bound
 from burnkit import graph as graph_module
 from burnkit.burning import _run_rounds
 from burnkit.graph import _BadEdge, _build
-from burnkit.reductions import base_edges
 
 from .strategies import (
     brute_force_min_cover,
@@ -46,6 +45,7 @@ from .strategies import (
     random_connected_graph,
     random_graph,
     random_strict_schedule,
+    reference_vc_roles,
 )
 
 
@@ -594,7 +594,7 @@ def reference_schedule_to_vc(inst, s):
         raise ReductionError(f"schedule exceeds {inst.round_bound} rounds")
     radius = inst.n * inst.k + 1
     parts = {}
-    for vid, role in enumerate(inst.roles):
+    for vid, role in enumerate(reference_vc_roles(inst)):
         if role[0] == "e":
             key = (min(role[1], role[2]), max(role[1], role[2]))
         elif role[0] in ("d", "tail"):
@@ -605,7 +605,7 @@ def reference_schedule_to_vc(inst, s):
     sources = [v for batch in s.rounds for v in batch]
     big = inst.gprime.n + 1
     cover = set()
-    for b, c in base_edges(inst):
+    for b, c in inst.base_edges:
         db = bfs_distances(inst.gprime, [b]).dist
         dc = bfs_distances(inst.gprime, [c]).dist
         members = set(parts[(b, c)])
@@ -620,7 +620,7 @@ def reference_schedule_to_vc(inst, s):
                 cover.add(b)
             else:
                 cover.add(c)
-    for b, c in base_edges(inst):
+    for b, c in inst.base_edges:
         if b not in cover and c not in cover:
             raise ReductionError(f"extracted set misses edge ({b},{c}); invalid instance/schedule pair")
     if len(cover) > inst.q:
@@ -672,10 +672,11 @@ def test_schedule_to_vc_matches_the_member_set_extraction():
     moved = 0
     for inst, sched in vc_round_trip_cases():
         assert same_extraction(inst, sched)
+        roles = reference_vc_roles(inst)
         for i, batch in enumerate(sched.rounds):
             for p, v in enumerate(batch):
                 for u in inst.gprime.adj[v]:
-                    if inst.roles[u][0] in ("e", "d"):
+                    if roles[u][0] in ("e", "d"):
                         rounds = [list(b) for b in sched.rounds]
                         rounds[i][p] = u
                         moved += bool(same_extraction(inst, Schedule(sched.k, rounds)))
@@ -689,7 +690,7 @@ def test_schedule_to_vc_matches_it_on_a_source_anywhere_in_a_gadget():
     # makes it count
     accepted = Counter()
     for inst, sched in islice(vc_round_trip_cases(spare=1), 0, None, 4):
-        for x, role in enumerate(inst.roles):
+        for x, role in enumerate(reference_vc_roles(inst)):
             if role[0] in ("e", "d", "tail"):
                 accepted[role[0]] += bool(same_extraction(inst, Schedule(sched.k, [[x]] + sched.rounds)))
     assert min(accepted.values()) >= 20, accepted

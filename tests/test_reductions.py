@@ -13,6 +13,7 @@ from burnkit import (
     build_sat_instance,
     build_vc_instance,
     complete_graph,
+    exact_burning_number,
     graph_from_edges,
     parse_dimacs_cnf,
     parse_graph,
@@ -23,10 +24,10 @@ from burnkit import (
     schedule_to_vc,
     serialize_graph,
     simulate,
+    star_graph,
     vc_to_schedule,
 )
 from burnkit.reductions import (
-    base_edges,
     load_sat_instance,
     load_vc_instance,
     original_edges,
@@ -34,7 +35,13 @@ from burnkit.reductions import (
     vc_instance_meta,
 )
 
-from .strategies import random_connected_graph
+from .strategies import (
+    brute_force_min_cover,
+    random_connected_graph,
+    random_graph,
+    reference_vc_gadget,
+    reference_vc_roles,
+)
 
 
 def prism_graph():
@@ -57,14 +64,14 @@ def petersen_graph():
 
 def test_vc_counts_k1():
     inst = build_vc_instance(complete_graph(4), 1, 3)
-    tags = Counter(role[0] for role in inst.roles)
+    tags = Counter(role[0] for role in reference_vc_roles(inst))
     assert inst.gprime.n == 99
     assert tags == {"v": 4, "e": 12, "d": 48, "tail": 24, "iso": 11}
 
 
 def test_vc_counts_k2_isolated_formula():
     inst = build_vc_instance(complete_graph(4), 2, 3)
-    tags = Counter(role[0] for role in inst.roles)
+    tags = Counter(role[0] for role in reference_vc_roles(inst))
     assert tags["iso"] == (2 - 1) * 3 + 2 * (2 * 4 * 2 + 3) == 41
     assert tags["d"] == 6 * 2 * 4 * 2
 
@@ -79,13 +86,54 @@ def test_vc_endpoint_distance_is_corridor_length():
 
 def test_vc_tail_attaches_at_lower_median():
     inst = build_vc_instance(complete_graph(3), 1, 2)
-    role_of = inst.roles
+    role_of = reference_vc_roles(inst)
     for vid, role in enumerate(role_of):
         if role[0] == "tail" and role[3] == 1:
             anchors = [
                 role_of[u] for u in inst.gprime.adj[vid] if role_of[u][0] == "d"
             ]
             assert anchors == [("d", role[1], role[2], inst.n * inst.k)]
+
+
+def test_vc_gadget_matches_the_role_tagging_builder():
+    # 60 seeded graphs for each of k = 1, 2, 3 and the connected variant
+    rng = random.Random(27)
+    for case in range(240):
+        k, connected = (case % 4 or 1, case % 4 == 0)
+        g = random_graph(rng, rng.randint(1, 7), rng.random())
+        q = rng.randint(1, g.n)
+        inst = build_vc_instance(g, k, q, connected=connected)
+        want = reference_vc_gadget(g, k, q, connected)[0]
+        assert inst.gprime.adj == want.adj, (g.adj, k, q, connected)
+
+
+@pytest.mark.parametrize("g", [path_graph(2), path_graph(3), star_graph(4)],
+                         ids=["edge", "path-3", "star-4"])
+def test_vc_bound_is_attained_at_k1(g):
+    # at k = 1 the gadget is the same for every q, so one exact call decides
+    # b <= round_bound for each q, and the bound tau + 2n + 3 is tight
+    tau = len(brute_force_min_cover(g))
+    gprime = build_vc_instance(g, 1, 1).gprime
+    b = exact_burning_number(gprime, 1)[0]
+    assert b == tau + 2 * g.n + 3
+    for q in range(1, g.n + 1):
+        inst = build_vc_instance(g, 1, q)
+        assert inst.gprime.adj == gprime.adj
+        assert (b <= inst.round_bound) == (tau <= q)
+
+
+def test_vc_gadget_build_memory():
+    rng = random.Random(100)
+    pairs = rng.sample([(u, v) for u in range(100) for v in range(u + 1, 100)], 300)
+    g = graph_from_edges(100, sorted(pairs))
+    tracemalloc.start()
+    try:
+        inst = build_vc_instance(g, 1, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.gprime.n == 90903
+    assert peak <= 20_000_000, peak
 
 
 def test_vc_parameter_validation():
@@ -178,7 +226,7 @@ def test_vc_round_trip_non_minimal_cover():
 
 def test_vc_reverse_rejects_isolated_only_schedule():
     inst = build_vc_instance(complete_graph(3), 1, 2)
-    iso = [vid for vid, role in enumerate(inst.roles) if role[0] == "iso"]
+    iso = [vid for vid, role in enumerate(reference_vc_roles(inst)) if role[0] == "iso"]
     rounds = [[v] for v in iso]
     with pytest.raises(ReductionError):
         schedule_to_vc(inst, Schedule(1, rounds))
@@ -212,7 +260,7 @@ def test_vc_structural_invariants_random():
         k = rng.randint(1, 3)
         q = rng.randint(1, n)
         inst = build_vc_instance(g, k, q)
-        tags = Counter(role[0] for role in inst.roles)
+        tags = Counter(role[0] for role in reference_vc_roles(inst))
         m = g.m
         assert tags["v"] == n
         assert tags["e"] == 2 * m
@@ -236,7 +284,7 @@ def test_vc_connected_structure():
 
     assert len(connected_components(inst.gprime)) == 1
     # the stretch after the w-run holds exactly (2n+3)^2 vertices
-    tags = Counter(role[0] for role in inst.roles)
+    tags = Counter(role[0] for role in reference_vc_roles(inst))
     q_run = inst.q + 2 * inst.n + 2
     blocks = 2 * inst.n + 3
     assert tags["backbone"] == q_run + blocks * (2 * inst.n + 2)
@@ -275,9 +323,9 @@ def test_vc_meta_round_trip():
     inst = build_vc_instance(prism_graph(), 2, 4)
     meta = vc_instance_meta(inst)
     again = load_vc_instance(parse_graph(serialize_graph(inst.gprime)), meta)
-    assert again.roles == inst.roles
+    assert again.gprime.adj == inst.gprime.adj
     assert (again.n, again.k, again.q, again.connected) == (inst.n, inst.k, inst.q, False)
-    assert base_edges(again) == base_edges(inst)
+    assert again.base_edges == inst.base_edges
 
 
 # --- 3-SAT scheduling gadget -------------------------------------------------
@@ -493,6 +541,8 @@ def test_dimacs_multiline_clause():
         "p cnf 2 1\n1 2 -1 3 0\n",  # clause with 4 literals / var out of range
         "p cnf 2 2\n1 1 1 0\n",  # clause count mismatch
         "p cnf 2 1\n1 2 -1\n",  # unterminated clause
+        "p cnf x 1\n1 2 -1 0\n",  # a count that is no integer
+        "p cnf 3 1\np cnf 4 1\n1 2 4 0\n",  # a second problem line
     ],
 )
 def test_dimacs_errors(text):
