@@ -244,8 +244,6 @@ def _mapped(fn, *args):
 def _cmd_map_vc(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     inst = load_vc_instance(g, _read("metadata", args.meta, json.loads))
-    if (args.cover is None) == (args.schedule is None):
-        raise ValueError("map-vc needs exactly one of --cover or --schedule")
     lines = ["command map-vc", f"graph {args.graph}", f"meta {args.meta}"]
     if args.cover is not None:
         cover = _parse_ints(args.cover, "cover")
@@ -264,8 +262,6 @@ def _cmd_map_vc(args) -> list[str]:
 def _cmd_map_sat(args) -> list[str]:
     g = _read("graph", args.graph, parse_graph)
     si = load_sat_instance(g, _read("metadata", args.meta, json.loads))
-    if (args.assignment is None) == (args.ordering is None):
-        raise ValueError("map-sat needs exactly one of --assignment or --ordering")
     lines = ["command map-sat", f"graph {args.graph}", f"meta {args.meta}"]
     if args.assignment is not None:
         lits = _parse_ints(args.assignment, "assignment")
@@ -349,16 +345,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map-vc", help="map a cover to a schedule, or back")
     p.add_argument("--graph", required=True, help="gadget graph file")
     p.add_argument("--meta", required=True, help="gadget metadata file")
-    p.add_argument("--cover", help="cover vertices (forward direction)")
-    p.add_argument("--schedule", help="schedule file (reverse direction)")
+    way = p.add_mutually_exclusive_group(required=True)
+    way.add_argument("--cover", help="cover vertices (forward direction)")
+    way.add_argument("--schedule", help="schedule file (reverse direction)")
     p.add_argument("--schedule-out")
     p.set_defaults(fn=_cmd_map_vc)
 
     p = sub.add_parser("map-sat", help="map an assignment to an ignition order, or back")
     p.add_argument("--graph", required=True, help="gadget graph file")
     p.add_argument("--meta", required=True, help="gadget metadata file")
-    p.add_argument("--assignment", help="signed literals, e.g. '1,-2,3' (forward direction)")
-    p.add_argument("--ordering", help="tokens vertex@round (reverse direction)")
+    way = p.add_mutually_exclusive_group(required=True)
+    way.add_argument("--assignment", help="signed literals, e.g. '1,-2,3' (forward direction)")
+    way.add_argument("--ordering", help="tokens vertex@round (reverse direction)")
     p.set_defaults(fn=_cmd_map_sat)
 
     p = sub.add_parser("path-number", help="closed-form burning number of a path")

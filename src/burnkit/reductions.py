@@ -18,6 +18,9 @@ vertices are 0..n-1; the i-th base edge (u, v), in ascending order, owns
 ids n + iB .. n + (i+1)B - 1, in the order uv, vu, d_1 .. d_{2nk},
 tail_1 .. tail_n; the ids from T up are the isolated vertices, which in
 the connected variant form one path from w through them in id order.
+Every input vertex lies on an edge.  ``schedule_to_vc`` reads a cover off
+source ids: base vertices add themselves, block offsets 1 and nk + 2 ..
+2nk + 1 add v, the rest u, and backbone ids T .. T + nk add w.
 
 3-SAT scheduling gadget: literal vertices are the fixed burning sources;
 the i-th positive and negative literals each carry a top and a bottom
@@ -34,8 +37,7 @@ from itertools import chain
 
 from .burning import Schedule, _pad_certified, simulate
 from .exact import SchedulingInstance, ordering_feasible
-from .graph import (MAX_VERTICES, Graph, _fits, _graph_from_ids, _positive, bfs_distances,
-                    graph_from_edges)
+from .graph import MAX_VERTICES, Graph, _fits, _graph_from_ids, _positive, graph_from_edges
 from .paths import segment_sources
 
 
@@ -82,11 +84,13 @@ def _vc_layout(n: int, m: int, k: int) -> tuple[int, int]:
 
 
 def _vc_gadget_size(g: Graph, k: int, q: int, connected: bool) -> int:
-    """The cover gadget's vertex count for (g, k, q), after ReductionError for
-    a bad parameter: what build_vc_instance bounds before it allocates, and
-    what load_vc_instance compares with its graph before it rebuilds."""
+    """The cover gadget's vertex count for (g, k, q), after ReductionError for a
+    bad parameter or a vertex of g on no edge: what build_vc_instance bounds
+    before it allocates, and what load_vc_instance compares before it rebuilds."""
     if g.n < 1:
         raise ReductionError("input graph must have at least one vertex")
+    if not all(g.adj):
+        raise ReductionError(f"input vertex {g.adj.index([])} lies on no edge")
     _positive(k, "spread factor", ReductionError)
     if connected and k != 1:
         raise ReductionError("connected variant requires k=1")
@@ -178,9 +182,7 @@ def _vc_to_schedule(inst: VcInstance, cover) -> tuple[Schedule, int]:
         batches += [iso_ids[i:i + k] for i in range(extra, len(iso_ids), k)]
     else:
         batches = [[] for _ in range(inst.round_bound)]
-        batches[0] = [inst.n - 2]  # w
-        for i, c in enumerate(cov, start=1):
-            batches[i] = [c]
+        batches[:len(cov) + 1] = [[inst.n - 2]] + [[c] for c in cov]  # w, then the cover
         suffix_start = top + inst.q + 2 * inst.n + 2  # the last (2n + 3)^2 backbone ids
         suffix = inst.gprime.n - suffix_start
         for vtx, r in segment_sources(suffix, 2 * inst.n + 3, base=suffix_start):
@@ -195,13 +197,15 @@ def _vc_to_schedule(inst: VcInstance, cover) -> tuple[Schedule, int]:
 def schedule_to_vc(inst: VcInstance, s: Schedule):
     """Extract a vertex cover from a short strict burning schedule.
 
-    Each endpoint of a base edge gets one BFS; a vertex it does not
-    reach counts as n' + 1 hops away.  A burning source counts for base
-    edge (b, c) if it lies in that edge's gadget or within nk+1 hops of
-    b or c, and then contributes the nearer endpoint (ties to the smaller
-    id).  The union is asserted to cover every edge within the budget.
-    In the connected variant the pendant vertices are stripped before
-    returning, leaving a cover of the user's input graph.
+    A source adds the nearer end of each base edge whose block holds it or
+    whose ends lie within nk + 1 hops, which its id alone names: a base
+    vertex adds itself; at offset o of edge (u, v)'s block, o = 1 and
+    nk + 2 <= o < 2nk + 2 add v, the rest u; the connected variant's
+    backbone id T + j adds w when j <= nk; no other id adds anything.  No
+    vertex is equidistant from the ends of the 2nk + 3 hop corridor; tail_j
+    hangs off d_{nk}, nearer u; other base vertices lie a corridor away; and
+    every input vertex lies on an edge.  The union must cover every edge
+    within the budget; the connected variant then strips its pendant vertices.
     """
     report = simulate(inst.gprime, s, strict=True)
     if not report.valid:
@@ -210,21 +214,18 @@ def schedule_to_vc(inst: VcInstance, s: Schedule):
     if len(s.rounds) > inst.round_bound or report.completion_round > inst.round_bound:
         raise ReductionError(f"schedule exceeds {inst.round_bound} rounds")
 
-    edges = inst.base_edges  # each (b, c) with b < c
-    block = _vc_layout(inst.n, len(edges), inst.k)[0]
-    far = inst.gprime.n + 1  # what an unreachable vertex counts as
-    dist = {v: [far if d is None else d for d in bfs_distances(inst.gprime, [v]).dist]
-            for v in {x for edge in edges for x in edge}}
-
-    radius = inst.n * inst.k + 1
-    sources = [v for batch in s.rounds for v in batch]
+    n, nk, edges = inst.n, inst.n * inst.k, inst.base_edges  # each (b, c) with b < c
+    block, top = _vc_layout(n, len(edges), inst.k)
     cover: set[int] = set()
-    for i, (b, c) in enumerate(edges):
-        db, dc = dist[b], dist[c]
-        lo = inst.n + i * block  # the first id of edge (b, c)'s gadget
-        for src in sources:
-            if lo <= src < lo + block or min(db[src], dc[src]) <= radius:
-                cover.add(b if db[src] <= dc[src] else c)
+    for src in (v for batch in s.rounds for v in batch):
+        if src < n:
+            cover.add(src)
+        elif src < top:
+            i, o = divmod(src - n, block)
+            u, v = edges[i]
+            cover.add(v if o == 1 or nk + 2 <= o < 2 * nk + 2 else u)
+        elif inst.connected and src - top <= nk:
+            cover.add(n - 2)  # w
 
     for b, c in edges:
         if b not in cover and c not in cover:

@@ -495,6 +495,34 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, ways", [
+    ("map-vc", []), ("map-vc", ["--cover", "1", "--schedule", "s.txt"]),
+    ("map-sat", []), ("map-sat", ["--assignment", "1", "--ordering", "0@1"]),
+], ids=["map-vc-neither", "map-vc-both", "map-sat-neither", "map-sat-both"])
+def test_map_direction_is_one_flag_checked_before_any_file_is_read(capsys, tmp_path, command,
+                                                                   ways):
+    # argparse refuses the run, so the missing graph file is never opened
+    argv = [command, "--graph", tmp_path / "missing.txt", "--meta", tmp_path / "missing.json"]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv + ways])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"burnkit {command}: error: " in captured.err
+    assert "missing" not in captured.err
+
+
+def test_gen_vc_refuses_a_vertex_on_no_edge(capsys, tmp_path):
+    graph = tmp_path / "p3-plus-one.txt"
+    graph.write_text("4 2\n0 1\n1 2\n")
+    prefix = tmp_path / "vc"
+    code, out, err = run(capsys, "gen-vc", "--graph", graph, "--q", 1, "--out", prefix)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error parse input vertex 3 lies on no edge"
+    assert not list(tmp_path.glob("vc.*"))
+
+
 # one row per subcommand and outcome: exact stdout bytes and exit code, run
 # from a directory holding the inputs so every path in the report is fixed
 GOLDEN = [

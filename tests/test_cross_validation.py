@@ -685,15 +685,17 @@ def test_schedule_to_vc_matches_the_member_set_extraction():
 
 def test_schedule_to_vc_matches_it_on_a_source_anywhere_in_a_gadget():
     # a budget one above the minimum cover leaves a round for one more
-    # source: put it on each e, d and tail vertex in turn.  A tail vertex
-    # lies more than nk + 1 hops from both endpoints, so only its gadget
-    # makes it count
-    accepted = Counter()
+    # source: put it on each vertex of every id region in turn.  A tail
+    # vertex lies more than nk + 1 hops from both endpoints, so only its
+    # gadget makes it count
+    accepted, compared = Counter(), Counter()
     for inst, sched in islice(vc_round_trip_cases(spare=1), 0, None, 4):
         for x, role in enumerate(reference_vc_roles(inst)):
-            if role[0] in ("e", "d", "tail"):
-                accepted[role[0]] += bool(same_extraction(inst, Schedule(sched.k, [[x]] + sched.rounds)))
-    assert min(accepted.values()) >= 20, accepted
+            same = same_extraction(inst, Schedule(sched.k, [[x]] + sched.rounds))
+            accepted[role[0]] += bool(same)
+            compared[role[0]] += same is not None
+    assert min(accepted[role] for role in ("e", "d", "tail")) >= 20, accepted
+    assert min(compared[role] for role in ("v", "iso", "backbone")) >= 10, compared
 
 
 def reference_parse_graph(text):

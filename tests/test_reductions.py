@@ -96,15 +96,38 @@ def test_vc_tail_attaches_at_lower_median():
 
 
 def test_vc_gadget_matches_the_role_tagging_builder():
-    # 60 seeded graphs for each of k = 1, 2, 3 and the connected variant
+    # 60 seeded graphs for each of k = 1, 2, 3 and the connected variant; one
+    # with a vertex on no edge is refused, naming the smallest such vertex
     rng = random.Random(27)
+    compared = Counter()
     for case in range(240):
         k, connected = (case % 4 or 1, case % 4 == 0)
         g = random_graph(rng, rng.randint(1, 7), rng.random())
         q = rng.randint(1, g.n)
+        lone = [x for x in range(g.n) if not g.adj[x]]
+        if lone:
+            with pytest.raises(ReductionError, match=f"^input vertex {lone[0]} lies on no edge$"):
+                build_vc_instance(g, k, q, connected=connected)
+            continue
         inst = build_vc_instance(g, k, q, connected=connected)
         want = reference_vc_gadget(g, k, q, connected)[0]
         assert inst.gprime.adj == want.adj, (g.adj, k, q, connected)
+        compared[case % 4] += 1
+    assert min(compared[variant] for variant in range(4)) >= 25, compared
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_vc_gadget_refuses_a_vertex_on_no_edge(connected):
+    # the 3-vertex path plus vertex 3: vertex 3 would need a round of its
+    # own, so at q = 1 = tau the gadget would burn in 13 rounds, one past
+    # its round bound of 12
+    g = graph_from_edges(4, [(0, 1), (1, 2)])
+    with pytest.raises(ReductionError, match="^input vertex 3 lies on no edge$"):
+        build_vc_instance(g, 1, 1, connected=connected)
+    meta = {"kind": "vc-burning-instance", "n": 4, "edges": [[0, 1], [1, 2]], "k": 1, "q": 1,
+            "connected": connected}
+    with pytest.raises(ReductionError, match="^input vertex 3 lies on no edge$"):
+        load_vc_instance(path_graph(4), meta)
 
 
 @pytest.mark.parametrize("g", [path_graph(2), path_graph(3), star_graph(4)],
@@ -125,15 +148,37 @@ def test_vc_bound_is_attained_at_k1(g):
 def test_vc_gadget_build_memory():
     rng = random.Random(100)
     pairs = rng.sample([(u, v) for u in range(100) for v in range(u + 1, 100)], 300)
-    g = graph_from_edges(100, sorted(pairs))
+    g = graph_from_edges(100, sorted(pairs + [(0, 85)]))  # the draw leaves 85 on no edge
     tracemalloc.start()
     try:
         inst = build_vc_instance(g, 1, 50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert inst.gprime.n == 90903
+    assert inst.gprime.n == 91205
     assert peak <= 20_000_000, peak
+
+
+def test_schedule_to_vc_memory():
+    # the 100-vertex path plus 101 chords: a 60,703-vertex gadget whose
+    # cover is read off the sources' ids, with no search beyond simulate's
+    rng = random.Random(5)
+    chords = rng.sample([(u, v) for u in range(100) for v in range(u + 2, 100)], 101)
+    g = graph_from_edges(100, sorted([(u, u + 1) for u in range(99)] + chords))
+    cover: set[int] = set()
+    for u, v in g.edges():  # greedy: an uncovered edge takes its larger end
+        if u not in cover and v not in cover:
+            cover.add(v)
+    inst = build_vc_instance(g, 1, len(cover))
+    sched = vc_to_schedule(inst, cover)
+    assert inst.gprime.n == 60703
+    tracemalloc.start()
+    try:
+        assert schedule_to_vc(inst, sched) == sorted(cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000, peak
 
 
 def test_vc_parameter_validation():
