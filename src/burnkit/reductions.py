@@ -28,12 +28,17 @@ path of 2(n-i) vertices, and each clause vertex attaches to the far ends
 of its literals' top paths.  An ignition order finishing within 2n
 rounds exists exactly when the formula is satisfiable, with true
 literals burning at odd rounds.
+
+Its ids follow from arithmetic too.  Literal +i is vertex 2i - 2 and -i
+is 2i - 1; the top paths follow in vertex order from id 2n, so top(+i) =
+2n + 2(i - 1)(2n - i); each bottom path starts 2n(n - 1) past its top
+path; and clause c, counting from 0, is 2n(2n - 1) + c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 from .burning import Schedule, _pad_certified, simulate
 from .exact import SchedulingInstance, ordering_feasible
@@ -232,12 +237,8 @@ def schedule_to_vc(inst: VcInstance, s: Schedule):
             raise ReductionError(f"extracted set misses edge ({b},{c}); invalid instance/schedule pair")
     if len(cover) > inst.q:
         raise ReductionError(f"extracted set has {len(cover)} vertices, budget is {inst.q}")
-    if inst.connected:
+    if inst.connected:  # w or z covers (w, z), so the rest fits the original q
         cover = {x for x in cover if x < inst.original_n}
-        if len(cover) > inst.original_q:
-            raise ReductionError(
-                f"stripped cover has {len(cover)} vertices, budget is {inst.original_q}"
-            )
     return sorted(cover)
 
 
@@ -277,19 +278,18 @@ def satisfies(cnf: Cnf3, assignment: dict[int, bool]) -> bool:
 
 @dataclass
 class SatInstance:
-    """Scheduling instance for a 3-CNF formula.
+    """Scheduling instance for a 3-CNF formula of n variables.
 
-    Sources are exactly the 2n literal vertices.  ``literal_vertex`` maps
-    the signed literal (+i / -i) to its vertex; ``top_end`` maps it to the
-    far end of its top path, which is where clause vertices attach (the
-    literal vertex itself when the path is empty, i.e. for i = n).
+    Sources are exactly the 2n literal vertices, +i at 2i - 2 and -i at
+    2i - 1.  Their top paths follow in vertex order from id 2n, L_i = 2(n - i)
+    vertices each, so top(+i) = 2n + 2(i - 1)(2n - i) and top(-i) = top(+i) + L_i;
+    each bottom path starts 2n(n - 1) past its top path, and clause c (from 0)
+    is 2n(2n - 1) + c, joined to the last vertex of its literals' top paths
+    (to the literal vertex itself when i = n).
     """
 
     inst: SchedulingInstance
-    literal_vertex: dict[int, int]
-    clause_vertex: tuple[int, ...]
     cnf: Cnf3
-    top_end: dict[int, int]
 
 
 def _sat_gadget_size(cnf: Cnf3) -> int:
@@ -302,6 +302,11 @@ def _sat_gadget_size(cnf: Cnf3) -> int:
     return 2 * n + 4 * n * (n - 1) + len(cnf.clauses)
 
 
+def _literal(lit: int) -> int:
+    """The vertex of literal +i (2i - 2) or -i (2i - 1)."""
+    return 2 * abs(lit) - 2 + (lit < 0)
+
+
 def build_sat_instance(cnf: Cnf3) -> SatInstance:
     """The 3-SAT scheduling gadget; ReductionError for no clause, or before any id is
     made for a gadget of more than MAX_VERTICES vertices (``_sat_gadget_size``)."""
@@ -309,48 +314,32 @@ def build_sat_instance(cnf: Cnf3) -> SatInstance:
     if not _fits(size, 0, MAX_VERTICES):
         raise ReductionError(f"gadget of {size} vertices exceeds the vertex bound {MAX_VERTICES}")
     n = cnf.n_vars
-    lits = [lit for i in range(1, n + 1) for lit in (i, -i)]
-    literal_vertex = {lit: v for v, lit in enumerate(lits)}
-    # the literals of variable i each get a top and a bottom path of 2(n - i)
-    # vertices, all top paths first, in literal order; clause vertices follow
-    length = {lit: 2 * (n - abs(lit)) for lit in lits}
-    start: dict[tuple[str, int], int] = {}
-    next_id = 2 * n
-    for kind in ("top", "bottom"):
-        for lit in lits:
-            start[kind, lit] = next_id
-            next_id += length[lit]
-    top_end = {lit: start["top", lit] + length[lit] - 1 if length[lit] else literal_vertex[lit]
-               for lit in lits}
-    clause_vertex = tuple(range(next_id, next_id + len(cnf.clauses)))
-    attached: dict[int, list[int]] = {lit: [] for lit in lits}  # clause vertices at a top end
-    for cid, clause in zip(clause_vertex, cnf.clauses):
+    paths = 2 * n - 2  # literal vertices 0 .. 2n - 3 have paths; variable n's have none
+    # literal u's top path is top[u] .. top[u + 1] - 1, its bottom path drop ids further on
+    top = list(accumulate((2 * (n - 1 - u // 2) for u in range(paths)), initial=2 * n))
+    drop = 2 * n * (n - 1)
+    attached: list[list[int]] = [[] for _ in range(2 * n)]  # clause vertices, by literal vertex
+    for cid, clause in enumerate(cnf.clauses, 2 * n * (2 * n - 1)):
         for lit in set(clause):
-            attached[lit].append(cid)
+            attached[_literal(lit)].append(cid)
     # pairs (u, v) with u < v in ascending order, so the builder takes its
     # ordered path, as one flat id list: each literal vertex to its two
-    # paths' first vertices (or to its clauses when they are empty), then
-    # each path vertex to the next and each top path's last vertex to its
-    # clauses
+    # paths' first vertices (or to its clauses when it has none), then each
+    # top path with its last vertex to its clauses, then each bottom path
     ids: list[int] = []
-    for lit in lits:
-        u = literal_vertex[lit]
-        if length[lit]:
-            ids += (u, start["top", lit], u, start["bottom", lit])
-        else:
-            for cid in attached[lit]:
-                ids += (u, cid)
-    for kind in ("top", "bottom"):
-        for lit in lits:
-            if length[lit]:
-                first, last = start[kind, lit], start[kind, lit] + length[lit] - 1
-                ids += _path_ids(first, last)
-                if kind == "top":
-                    for cid in attached[lit]:
-                        ids += (last, cid)
-    graph = _graph_from_ids(next_id + len(clause_vertex), ids)
-    inst = SchedulingInstance(graph, tuple(range(2 * n)), k=1)
-    return SatInstance(inst, literal_vertex, clause_vertex, cnf, top_end)
+    for u in range(paths):
+        ids += (u, top[u], u, top[u] + drop)
+    for u in range(paths, 2 * n):
+        for cid in attached[u]:
+            ids += (u, cid)
+    for u in range(paths):
+        ids += _path_ids(top[u], top[u + 1] - 1)
+        for cid in attached[u]:
+            ids += (top[u + 1] - 1, cid)
+    for u in range(paths):
+        ids += _path_ids(top[u] + drop, top[u + 1] - 1 + drop)
+    inst = SchedulingInstance(_graph_from_ids(size, ids), tuple(range(2 * n)), k=1)
+    return SatInstance(inst, cnf)
 
 
 def schedule_to_assignment(si: SatInstance, ordering: dict[int, int]) -> dict[int, bool]:
@@ -367,8 +356,7 @@ def schedule_to_assignment(si: SatInstance, ordering: dict[int, int]) -> dict[in
         raise ReductionError(f"ordering infeasible: {why}")
     assignment: dict[int, bool] = {}
     for j in range(1, n + 1):
-        rp = ordering[si.literal_vertex[j]]
-        rn = ordering[si.literal_vertex[-j]]
+        rp, rn = ordering[_literal(j)], ordering[_literal(-j)]
         if {rp, rn} != {2 * j - 1, 2 * j}:
             raise ReductionError(
                 f"variable {j}: literal vertices ignite at rounds {rp} and {rn}, "
@@ -394,7 +382,7 @@ def assignment_to_schedule(si: SatInstance, assignment: dict[int, bool]) -> dict
         raise ReductionError("assignment does not satisfy the formula")
     ordering: dict[int, int] = {}
     for j in range(1, n + 1):
-        pos, neg = si.literal_vertex[j], si.literal_vertex[-j]
+        pos, neg = _literal(j), _literal(-j)
         first, second = (pos, neg) if assignment[j] else (neg, pos)
         ordering[first] = 2 * j - 1
         ordering[second] = 2 * j
@@ -407,13 +395,18 @@ def assignment_to_schedule(si: SatInstance, assignment: dict[int, bool]) -> dict
 
 
 def parse_dimacs_cnf(text: str) -> Cnf3:
-    """Parse DIMACS-style CNF text; every clause must have exactly 3 literals."""
+    """Parse DIMACS-style CNF text; every clause must have exactly 3 literals.
+
+    The ``p cnf n m`` line comes before any clause, and a ``%`` line (SATLIB's
+    end-of-formula marker) ends the formula: nothing after it is read."""
     n_vars = None
     declared = None
     tokens: list[int] = []
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
@@ -424,6 +417,8 @@ def parse_dimacs_cnf(text: str) -> Cnf3:
             except ValueError:
                 raise ReductionError(f"bad problem line: {line!r}") from None
             continue
+        if n_vars is None:
+            raise ReductionError(f"clause line before the 'p cnf n m' line: {line!r}")
         try:
             tokens.extend(int(tok) for tok in line.split())
         except ValueError:
@@ -442,7 +437,7 @@ def parse_dimacs_cnf(text: str) -> Cnf3:
             current.append(tok)
     if current:
         raise ReductionError("last clause is not terminated by 0")
-    if declared is not None and len(clauses) != declared:
+    if len(clauses) != declared:
         raise ReductionError(f"header declares {declared} clauses, found {len(clauses)}")
     return Cnf3(n_vars, tuple(clauses))
 

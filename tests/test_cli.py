@@ -439,6 +439,16 @@ def test_gen_sat_refuses_a_bad_problem_line(capsys, tmp_path, text):
     assert err.splitlines()[0] == f"error parse cnf {cnf}: bad problem line: {bad!r}"
 
 
+def test_gen_sat_reads_a_satlib_file_up_to_its_trailer(capsys, tmp_path):
+    # SATLIB's uf/uuf files end with a "%" line and a stray "0"
+    cnf = tmp_path / "uf2.cnf"
+    cnf.write_text("c SATLIB style\np cnf 2 1\n 1 2 -1 0\n%\n0\n\n")
+    code, out, _ = run(capsys, "gen-sat", "--cnf", cnf, "--out", tmp_path / "sat")
+    assert code == 0
+    assert parse_report(out)["clauses"] == ["1"]
+    assert parse_report(out)["gadget_n"] == ["13"]
+
+
 def test_sat_generation_and_mapping(capsys, tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 1\n1 2 -1 0\n")

@@ -28,6 +28,7 @@ from burnkit import (
     vc_to_schedule,
 )
 from burnkit.reductions import (
+    _literal,
     load_sat_instance,
     load_vc_instance,
     original_edges,
@@ -376,6 +377,31 @@ def test_vc_meta_round_trip():
 # --- 3-SAT scheduling gadget -------------------------------------------------
 
 
+def reference_sat_gadget(n, clauses):
+    """The gadget as the construction reads: its vertex count, its edges (each
+    literal's top path, then its bottom path, then every clause joined to its
+    literals' top ends) and each literal's top end."""
+    next_id, edges, top_end = 2 * n, [], {}
+    for kind in ("top", "bottom"):
+        for i in range(1, n + 1):
+            for lit in (i, -i):
+                prev = 2 * (i - 1) + (lit < 0)
+                for _ in range(2 * (n - i)):
+                    edges.append((prev, next_id))
+                    prev, next_id = next_id, next_id + 1
+                if kind == "top":
+                    top_end[lit] = prev
+    for clause in clauses:
+        edges += [(top_end[lit], next_id) for lit in set(clause)]
+        next_id += 1
+    return next_id, edges, top_end
+
+
+def reference_sat_edges(n, clauses):
+    """The gadget's vertex count and edges, as ``reference_sat_gadget`` reads them."""
+    return reference_sat_gadget(n, clauses)[:2]
+
+
 def test_sat_vertex_count_n2():
     si = build_sat_instance(Cnf3(2, ((1, 2, -1),)))
     assert si.inst.graph.n == 13  # 4 literal + 4 top + 4 bottom + 1 clause
@@ -391,13 +417,14 @@ def test_sat_vertex_count_n1():
 
 def test_sat_clause_attaches_to_top_path_ends():
     si = build_sat_instance(Cnf3(2, ((1, 2, -1),)))
-    cid = si.clause_vertex[0]
+    size, _, top_end = reference_sat_gadget(2, ((1, 2, -1),))
+    cid = size - 1  # the one clause's vertex
     nbrs = set(si.inst.graph.adj[cid])
-    assert nbrs == {si.top_end[1], si.top_end[2], si.top_end[-1]}
+    assert nbrs == {top_end[1], top_end[2], top_end[-1]}
     # the i-th literal's top path keeps the clause 2(n-i)+1 hops away
-    dist = bfs_distances(si.inst.graph, [si.literal_vertex[1]]).dist
+    dist = bfs_distances(si.inst.graph, [_literal(1)]).dist
     assert dist[cid] == 2 * (2 - 1) + 1
-    dist = bfs_distances(si.inst.graph, [si.literal_vertex[2]]).dist
+    dist = bfs_distances(si.inst.graph, [_literal(2)]).dist
     assert dist[cid] == 1
 
 
@@ -405,10 +432,11 @@ def test_sat_path_lengths():
     n = 3
     si = build_sat_instance(Cnf3(n, ((1, 2, 3),)))
     g = si.inst.graph
+    cid = reference_sat_edges(n, ((1, 2, 3),))[0] - 1  # the one clause's vertex
     for i in range(1, n + 1):
         for lit in (i, -i):
-            v = si.literal_vertex[lit]
-            hang = [u for u in g.adj[v] if u not in si.clause_vertex]
+            v = _literal(lit)
+            hang = [u for u in g.adj[v] if u != cid]
             # top and bottom path stubs (absent when i = n)
             assert len(hang) == (2 if i < n else 0)
 
@@ -421,8 +449,8 @@ def test_sat_build_rejects_empty_formula():
 def test_sat_assignment_to_schedule_example():
     si = build_sat_instance(Cnf3(2, ((1, 2, -1),)))
     ordering = assignment_to_schedule(si, {1: True, 2: True})
-    lv = si.literal_vertex
-    assert ordering == {lv[1]: 1, lv[-1]: 2, lv[2]: 3, lv[-2]: 4}
+    lv = _literal
+    assert ordering == {lv(1): 1, lv(-1): 2, lv(2): 3, lv(-2): 4}
     batches = [[] for _ in range(4)]
     for v, r in ordering.items():
         batches[r - 1].append(v)
@@ -433,7 +461,7 @@ def test_sat_assignment_to_schedule_example():
 def test_sat_assignment_to_schedule_n1():
     si = build_sat_instance(Cnf3(1, ((1, 1, -1),)))
     ordering = assignment_to_schedule(si, {1: True})
-    assert ordering == {si.literal_vertex[1]: 1, si.literal_vertex[-1]: 2}
+    assert ordering == {_literal(1): 1, _literal(-1): 2}
 
 
 def test_sat_unsatisfying_assignment_rejected():
@@ -444,21 +472,19 @@ def test_sat_unsatisfying_assignment_rejected():
 
 def test_sat_schedule_to_assignment_examples():
     si = build_sat_instance(Cnf3(2, ((1, 2, -1),)))
-    lv = si.literal_vertex
-    got = schedule_to_assignment(si, {lv[-1]: 1, lv[1]: 2, lv[2]: 3, lv[-2]: 4})
+    lv = _literal
+    got = schedule_to_assignment(si, {lv(-1): 1, lv(1): 2, lv(2): 3, lv(-2): 4})
     assert got == {1: False, 2: True}
     si1 = build_sat_instance(Cnf3(1, ((1, 1, -1),)))
-    assert schedule_to_assignment(
-        si1, {si1.literal_vertex[1]: 1, si1.literal_vertex[-1]: 2}
-    ) == {1: True}
+    assert schedule_to_assignment(si1, {_literal(1): 1, _literal(-1): 2}) == {1: True}
 
 
 def test_sat_out_of_order_ignition_rejected():
     si = build_sat_instance(Cnf3(2, ((1, 2, -1),)))
-    lv = si.literal_vertex
+    lv = _literal
     # placing the second variable's literal in round 1 starves pair one
     with pytest.raises(ReductionError):
-        schedule_to_assignment(si, {lv[2]: 1, lv[1]: 2, lv[-1]: 3, lv[-2]: 4})
+        schedule_to_assignment(si, {lv(2): 1, lv(1): 2, lv(-1): 3, lv(-2): 4})
 
 
 def test_sat_feasibility_tracks_satisfiability():
@@ -474,10 +500,8 @@ def test_sat_meta_round_trip():
     si = build_sat_instance(Cnf3(2, ((1, 2, -1), (-2, -2, 1))))
     meta = sat_instance_meta(si)
     again = load_sat_instance(parse_graph(serialize_graph(si.inst.graph)), meta)
-    assert again.literal_vertex == si.literal_vertex
-    assert again.clause_vertex == si.clause_vertex
+    assert again.inst.graph.adj == si.inst.graph.adj
     assert again.cnf == si.cnf
-    assert again.top_end == si.top_end
 
 
 @pytest.mark.parametrize("load, meta", [
@@ -508,32 +532,43 @@ def test_sat_structural_invariants_random():
         clauses = tuple(tuple(rng.choice(lits) for _ in range(3)) for _ in range(m))
         si = build_sat_instance(Cnf3(n, clauses))
         g = si.inst.graph
+        size, _, top_end = reference_sat_gadget(n, clauses)
         # 2n literal vertices, four 2(n-i)-vertex paths per variable, m clauses
         assert g.n == 2 * n + 4 * n * (n - 1) + m
         assert si.inst.sources == tuple(range(2 * n))
         for idx, clause in enumerate(clauses):
-            cid = si.clause_vertex[idx]
-            assert set(g.adj[cid]) == {si.top_end[lit] for lit in clause}
+            cid = size - m + idx
+            assert set(g.adj[cid]) == {top_end[lit] for lit in clause}
 
 
-
-def reference_sat_edges(n, clauses):
-    """The gadget's edges as the construction reads: each literal's top path,
-    then its bottom path, then every clause joined to its literals' top ends."""
-    next_id, edges, top_end = 2 * n, [], {}
-    for kind in ("top", "bottom"):
-        for i in range(1, n + 1):
-            for lit in (i, -i):
-                prev = 2 * (i - 1) + (lit < 0)
-                for _ in range(2 * (n - i)):
-                    edges.append((prev, next_id))
-                    prev, next_id = next_id, next_id + 1
-                if kind == "top":
-                    top_end[lit] = prev
-    for clause in clauses:
-        edges += [(top_end[lit], next_id) for lit in set(clause)]
-        next_id += 1
-    return next_id, edges
+def test_sat_gadget_ids_follow_the_layout():
+    # literal +i is 2i - 2 and -i is 2i - 1; top(+i) = 2n + 2(i - 1)(2n - i) and
+    # top(-i) = top(+i) + 2(n - i); bottom paths start 2n(n - 1) past their top
+    # paths; clause c is 2n(2n - 1) + c
+    rng = random.Random(30)
+    for n in range(1, 13):
+        lits = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
+        for _ in range(5):
+            clauses = tuple(tuple(rng.choice(lits) for _ in range(3))
+                            for _ in range(rng.randint(1, 4 * n)))
+            size, edges, top_end = reference_sat_gadget(n, clauses)
+            adj = graph_from_edges(size, edges).adj
+            assert build_sat_instance(Cnf3(n, clauses)).inst.graph.adj == adj, clauses
+            clause0, drop = 2 * n * (2 * n - 1), 2 * n * (n - 1)
+            assert size == clause0 + len(clauses)
+            for i in range(1, n + 1):
+                length, top = 2 * (n - i), 2 * n + 2 * (i - 1) * (2 * n - i)
+                for lit, first in ((i, top), (-i, top + length)):
+                    v = _literal(lit)
+                    assert v == 2 * i - 2 + (lit < 0)
+                    if length:
+                        assert adj[first][0] == v and adj[first + drop][0] == v
+                        assert [u for u in adj[v] if u < clause0] == [first, first + drop]
+                        assert top_end[lit] == first + length - 1
+                    else:
+                        assert top_end[lit] == v
+            for c, clause in enumerate(clauses):
+                assert adj[clause0 + c] == sorted({top_end[lit] for lit in clause}), clauses
 
 
 def test_sat_gadget_hands_the_builder_ascending_pairs(monkeypatch):
@@ -568,9 +603,13 @@ def test_sat_gadget_hands_the_builder_ascending_pairs(monkeypatch):
 
 
 def test_dimacs_parse():
-    cnf = parse_dimacs_cnf("c comment\np cnf 3 2\n1 -2 3 0\n-1 2 2 0\n")
-    assert cnf.n_vars == 3
-    assert cnf.clauses == ((1, -2, 3), (-1, 2, 2))
+    for text in [
+        "c comment\np cnf 3 2\n1 -2 3 0\n-1 2 2 0\n",
+        "c comment\np cnf 3 2\n1 -2 3 0\n-1 2 2 0\n%\n0\n\n",  # SATLIB's end-of-formula trailer
+    ]:
+        cnf = parse_dimacs_cnf(text)
+        assert cnf.n_vars == 3
+        assert cnf.clauses == ((1, -2, 3), (-1, 2, 2))
 
 
 def test_dimacs_multiline_clause():
@@ -588,6 +627,7 @@ def test_dimacs_multiline_clause():
         "p cnf 2 1\n1 2 -1\n",  # unterminated clause
         "p cnf x 1\n1 2 -1 0\n",  # a count that is no integer
         "p cnf 3 1\np cnf 4 1\n1 2 4 0\n",  # a second problem line
+        "1 2 3 0\np cnf 3 1\n",  # a clause before the problem line
     ],
 )
 def test_dimacs_errors(text):
