@@ -7,12 +7,11 @@ for the vertex-cover and 3-SAT hardness gadgets with certificate
 mappings in both directions.
 """
 
-from .approx import ApproxResult, MisResult, approx_schedule, lower_bound, mis_power
+from .approx import ApproxResult, approx_schedule, lower_bound, mis_power
 from .burning import (
     BurnReport,
     Schedule,
     ScheduleError,
-    Violation,
     check_labels,
     completion_closed_form,
     ignition_list,
@@ -30,7 +29,6 @@ from .exact import (
 )
 from .graph import (
     MAX_VERTICES,
-    DistanceTable,
     Graph,
     GraphFormatError,
     bfs_distances,
@@ -67,11 +65,9 @@ __all__ = [
     "ApproxResult",
     "BurnReport",
     "Cnf3",
-    "DistanceTable",
     "Graph",
     "GraphFormatError",
     "MAX_VERTICES",
-    "MisResult",
     "ReductionError",
     "SatInstance",
     "Schedule",
@@ -79,7 +75,6 @@ __all__ = [
     "SchedulingInstance",
     "UndeterminedError",
     "VcInstance",
-    "Violation",
     "approx_schedule",
     "assignment_to_schedule",
     "bfs_distances",

@@ -43,19 +43,15 @@ class SchedulingInstance:
 
 
 _BIT_VERTICES = 1600
-"""``schedule_sources`` builds its ball table by a bit-parallel BFS only on
-graphs of at most this many vertices.  Each vertex a search reaches and
+"""``schedule_sources`` builds its ball table by a bit-parallel BFS
+(``_ball_table``) on graphs of at most this many vertices, else from
+``_bfs`` lists (``_ball_lists``).  Each vertex a bit search reaches and
 each level cost it a few big-int operations of n bits, and its neighbour
 masks take up to about n**2 / 8 bytes, so its cost per vertex grows with
-n where that of the ``_bfs`` lists does not.  The bound is the grids'
-measured crossover of whole calls against the lists (see CHANGES.md):
-a 40x40 grid ran about as fast either way, a 45x45 one 11% slower by the
-bit table; random connected graphs crossed near 6000 vertices."""
-
-_TABLE_BYTES_PER_VISIT = 16
-"""Bytes the ``_bfs`` lists take per vertex a search reaches, an 8-byte slot
-for its id and one for its hop count: ``_ball_table``'s give-up rule weighs
-the masks it holds past the |S| + 1 the lists path keeps against this."""
+n where that of the lists does not.  The bound is the grids' measured
+crossover of whole calls against the lists (see CHANGES.md): a 40x40
+grid ran about as fast either way, a 45x45 one 11% slower by the bit
+table; random connected graphs crossed near 6000 vertices."""
 
 
 class UndeterminedError(RuntimeError):
@@ -257,27 +253,23 @@ def ordering_feasible(
 
 
 def _ball_table(
-    g: Graph, srcs: list[int], rounds: int, near: list[list[tuple[int, int]]], slot: bytearray,
-    tick: Callable[[], None] | None,
-) -> list[list[int]] | None:
-    """The masks of every radius of every source, by one bit-parallel BFS per
-    source cut at rounds - 1 hops: masks[d] holds the vertices within d hops,
-    and the last one is the whole ball.  Each level ORs in the neighbour
-    masks of the frontier's bits, its mask is the next entry, and each
+    g: Graph, srcs: list[int], low: int, rounds: int, near: list[list[tuple[int, int]]],
+    slot: bytearray, tick: Callable[[], None] | None,
+) -> list[list[int]]:
+    """The ball masks of every source from radius min(low, ecc) up to ecc,
+    its eccentricity, by one bit-parallel BFS per source cut at rounds - 1
+    hops: row i's d-th mask holds the vertices within low + d hops of the
+    i-th source, and its last one is the whole ball.  Each level ORs in
+    the neighbour masks of the frontier's bits, and its mask is the next
+    entry, or replaces the first while the level is at most low.  Each
     later source j among its new bits, d hops from the i-th, gets
     (i, d - 1) in ``near[j]`` through ``slot``.  A vertex's neighbour mask
     is built when a search first reaches it, so the work follows the
     vertices reached, not n.  ``tick`` is called at each level.
-
-    Returns None once a search runs deeper than |S| hops and the masks it
-    holds past the |S| + 1 that the lists path keeps take more than
-    ``_TABLE_BYTES_PER_VISIT`` bytes per vertex it has reached.
     """
     n = g.n
-    size = (n + 7) // 8
     adj = g.adj
     nbr: list[int | None] = [None] * n  # nbr[v] = the mask of v's neighbours, once built
-    s = len(srcs)
     at_source = sum(map((1).__lshift__, srcs))
     table = []
     for i, src in enumerate(srcs):
@@ -302,15 +294,50 @@ def _ball_table(
             if not frontier:
                 break
             reached = grown
-            masks.append(reached)
-            if d > s and (d - s) * size > _TABLE_BYTES_PER_VISIT * reached.bit_count():
-                return None
+            if d > low:
+                masks.append(reached)
+            else:
+                masks[0] = reached
             hit = frontier & later  # the later sources d hops away
             while hit:
                 v = hit.bit_length() - 1
                 near[slot[v] - 1].append((i, d - 1))
                 hit ^= 1 << v
         table.append(masks)
+    return table
+
+
+def _ball_lists(
+    g: Graph, srcs: list[int], low: int, rounds: int, near: list[list[tuple[int, int]]],
+    slot: bytearray, tick: Callable[[], None] | None,
+) -> list[list[int]]:
+    """The rows of ``_ball_table``, and its entries in ``near``, from one
+    ``_bfs`` per source cut at rounds - 1 hops, which lists the vertices it
+    reaches nearest first with their hop counts, the last its eccentricity.
+    A row's masks are snapshots of one byte buffer filled level by level,
+    and the lists go once they are made.  ``tick`` is called at each radius
+    a row keeps.
+    """
+    n = g.n
+    table = []
+    for i, s in enumerate(srcs):
+        at, hop = _bfs(g, [s], rounds - 1, tick=tick)
+        for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
+            if slot[v] > i + 1:  # a later source
+                near[slot[v] - 1].append((i, d - 1))
+        buf = bytearray((n + 7) // 8)  # OR-ing one-bit ints would copy the mask per vertex
+        masks = []
+        cut = 0
+        for d in range(min(low, hop[-1]), hop[-1] + 1):  # a ball whole below low is kept once
+            if tick is not None:
+                tick()
+            end = bisect_right(hop, d, cut)
+            for v in at[cut:end]:
+                buf[v >> 3] |= 1 << (v & 7)
+            cut = end
+            masks.append(int.from_bytes(buf, "little"))
+        table.append(masks)
+        del at, hop  # before the next source's search
     return table
 
 
@@ -339,20 +366,13 @@ def schedule_sources(
     radius clamped to that eccentricity (for ``suffix``, the largest among
     the sources it unions), so a round budget far past every eccentricity
     adds no mask.
-    The masks are built one of two ways, into one table that ``ball``
-    reads.  On graphs of at most ``_BIT_VERTICES`` vertices they are built
-    by ``_ball_table``, a bit-parallel search whose levels are the masks of
-    every radius, with no list per vertex.  A search deeper than |S| hops
-    whose masks past the |S| + 1 the lists path keeps take more than
-    ``_TABLE_BYTES_PER_VISIT`` bytes per vertex it reached (a long path or
-    ladder: many thin levels) gives the table up.  Then, and on
-    larger graphs, each source's search is the package's shared
-    ``graph._bfs``, which lists the vertices it reaches in visit order with
-    their hop counts.  Right after it, this lists path fills one byte
-    buffer level by level, keeps the mask of each radius from
-    rounds - |S| - 1 (or the eccentricity, if smaller) up, and drops the
-    lists.  No smaller radius is read: the search places sources in rounds
-    up to |S|, and its bound looks one round further.
+    Each source keeps the masks of the radii from rounds - |S| - 1 (or its
+    eccentricity, if smaller) up, at most |S| + 1 of them: the search
+    places sources in rounds up to |S|, and its bound looks one round
+    further.  On graphs of at most ``_BIT_VERTICES`` vertices they come
+    from ``_ball_table``, a bit-parallel search whose levels are the
+    masks, with no list per vertex; on larger ones from ``_ball_lists``,
+    which fills them from the lists of the package's shared ``graph._bfs``.
     The search carries ``covered``, the union of ``ball(i, rounds - r)``
     over the assigned (source, round) pairs.  After placing source i, with
     ``free`` the earliest round with spare capacity, the branch lives only
@@ -376,7 +396,7 @@ def schedule_sources(
 
     Raises UndeterminedError when ``time_budget`` (seconds) runs out, with
     the clock read at every search node, at each level of a ball search, at
-    each radius the lists path makes and at each round of the certifying
+    each radius the lists builder keeps and at each round of the certifying
     pass; ValueError before any work if it is < 0, NaN or a bool, or if
     ``rounds`` is not a positive int.
     """
@@ -398,40 +418,13 @@ def schedule_sources(
     # index of source v, 0 for any other vertex; table[i][d - low] = the
     # vertices within d hops of the i-th source, from radius low up to where
     # its ball, cut at rounds - 1 hops, grows no more
+    low = max(rounds - len(srcs) - 1, 0)  # the search reads no smaller radius
     near: list[list[tuple[int, int]]] = [[] for _ in srcs]
     slot = bytearray(n)
     for j, s in enumerate(srcs):
         slot[s] = j + 1
-    table = _ball_table(g, srcs, rounds, near, slot, tick) if n <= _BIT_VERTICES else None
-
-    low = 0  # the bit table holds every radius
-    if table is None:
-        # each source's one _bfs lists the vertices it reaches nearest first
-        # with their hop counts, the last its eccentricity; its masks of the
-        # radii the search reads are snapshots of one byte buffer filled
-        # level by level, and the lists go once they are made.  near is
-        # filled afresh, as a given-up table may have filled part of it
-        low = max(rounds - len(srcs) - 1, 0)  # the search reads no smaller radius
-        near = [[] for _ in srcs]
-        table = []
-        for i, s in enumerate(srcs):
-            at, hop = _bfs(g, [s], rounds - 1, tick=tick)
-            for v, d in compress(zip(at, hop), map(slot.__getitem__, at)):
-                if slot[v] > i + 1:  # a later source
-                    near[slot[v] - 1].append((i, d - 1))
-            buf = bytearray((n + 7) // 8)  # OR-ing one-bit ints would copy the mask per vertex
-            masks = []
-            cut = 0
-            for d in range(min(low, hop[-1]), hop[-1] + 1):  # a ball whole below low is kept once
-                if tick is not None:
-                    tick()
-                end = bisect_right(hop, d, cut)
-                for v in at[cut:end]:
-                    buf[v >> 3] |= 1 << (v & 7)
-                cut = end
-                masks.append(int.from_bytes(buf, "little"))
-            table.append(masks)
-            del at, hop  # before the next source's search
+    build = _ball_table if n <= _BIT_VERTICES else _ball_lists
+    table = build(g, srcs, low, rounds, near, slot, tick)
     # ecc[i] = a radius past which the i-th source's ball grows no more, the
     # last its row holds: never below low, so suffix reads no smaller radius
     ecc = [low + len(masks) - 1 for masks in table]

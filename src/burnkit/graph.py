@@ -6,12 +6,8 @@ algorithm in this package reads adjacency lists without mutating them,
 so sharing a graph across threads is safe.
 
 Every plain distance query in the package (``bfs_distances``, components,
-the fixed-source scheduler's balls on its lists path) runs on the one
-search ``_bfs``.  On graphs of at most ``exact._BIT_VERTICES``
-vertices the scheduler first runs a bit-parallel search of its own, whose
-levels are its ball masks, and turns to ``_bfs`` once a search deeper than
-|S| hops (S the sources) holds more bytes of masks past the |S| + 1 radii
-the lists path keeps than its ``_bfs`` lists would take.
+the fixed-source scheduler's balls on large graphs) runs on the one
+search ``_bfs``.
 """
 
 from __future__ import annotations

@@ -499,6 +499,16 @@ def test_empty_graph_is_a_usage_error_for_every_solver(capsys, tmp_path):
         assert err.splitlines()[0] == "error parse graph must have at least one vertex"
 
 
+def test_schedule_past_24_sources_is_a_usage_error(capsys, tmp_path):
+    graph = tmp_path / "p30.txt"
+    graph.write_text(serialize_graph(graph_from_edges(30, [(i, i + 1) for i in range(29)])))
+    code, out, err = run(capsys, "schedule", "--graph", graph,
+                         "--sources", ",".join(map(str, range(25))))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error parse schedule_sources is restricted to at most 24 sources"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

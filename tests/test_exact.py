@@ -503,8 +503,8 @@ def test_schedule_sources_memory_with_rounds_past_every_eccentricity():
 
 def test_schedule_sources_mask_paths_agree(monkeypatch):
     # the masks are built by a bit-parallel BFS on graphs within a vertex
-    # bound, else from BFS lists (the only path that bisects them), which
-    # keep only the radii from rounds - |S| - 1 up; forcing each side gives
+    # bound, else from BFS lists (the only path that bisects them), each
+    # keeping only the radii from rounds - |S| - 1 up; forcing each side gives
     # the same witnesses, round budgets past the eccentricities, a budget
     # of one round, disconnected graphs and sources that cannot reach each
     # other included
@@ -549,14 +549,13 @@ def test_schedule_sources_mask_paths_agree(monkeypatch):
     for n, sources, k, rounds in [(12, (0, 5), 1, 10), (14, (0, 7, 13), 2, 12),
                                   (8, (0, 1, 2), 1, 10), (8, (0, 1, 2), 2, 10)]:
         cases.append((SchedulingInstance(path_graph(n), sources, k), rounds))
-    # the corners of a 40x40 grid, whose bit table gives up by default
+    # the corners of a 40x40 grid, searched 39 hops deep by 4 sources
     cases.append((SchedulingInstance(grid_graph(40, 40), (0, 39, 1560, 1599), 1), 40))
     verdicts = set()
     for inst, rounds in cases:
         got = {}
         for side, bound in (("eager", 10**9), ("lazy", 0)):
             monkeypatch.setattr(exact, "_BIT_VERTICES", bound)
-            monkeypatch.setattr(exact, "_TABLE_BYTES_PER_VISIT", 10**9)
             bisects.clear()
             got[side] = schedule_sources(inst, rounds)
             assert bool(bisects) == (side == "lazy")
@@ -567,26 +566,28 @@ def test_schedule_sources_mask_paths_agree(monkeypatch):
     assert schedule_sources(SchedulingInstance(apart, (1, 4, 7), 1), 3) == {1: 2, 4: 1, 7: 3}
 
 
-def test_schedule_sources_gives_up_the_bit_table_on_deep_thin_searches(monkeypatch):
-    # a search deeper than |S| hops whose masks past the |S| + 1 radii the
-    # lists path keeps take more than 16 bytes per vertex it reached gives
-    # the bit table up, and the BFS lists take over: a long path's and a
-    # ladder's do, and so does a 40x40 grid's from its corners, where an
-    # n-bit mask outweighs the few vertices reached by 7 hops.  A SAT
-    # gadget's searches at two rounds per variable keep it, and so do a
-    # 32x32 grid's, 2 hops deep or 31 hops deep, where they spread wide
-    tables, searches = [], []
-    table, bfs = exact._ball_table, exact._bfs
+def test_schedule_sources_picks_one_builder_by_n_and_keeps_few_masks(monkeypatch):
+    # the bit table builds every row on graphs of at most 1600 vertices and
+    # the BFS lists every row on larger ones, whatever the depth: a SAT
+    # gadget at two rounds per variable, a long path, a ladder, a 32x32
+    # grid 2 and 31 hops deep, the corners of a 40x40 grid and a
+    # 2000-vertex path.  Either way a source keeps at most |S| + 1 masks,
+    # the radii from rounds - |S| - 1 up
+    rows, searches = {}, []
+    table, lists, bfs = exact._ball_table, exact._ball_lists, exact._bfs
 
-    def watched_table(*args):
-        tables.append(table(*args))
-        return tables[-1]
+    def watched(name, builder):
+        def run(*args):
+            rows[name] = builder(*args)
+            return rows[name]
+        return run
 
     def watched_bfs(*args, **kwargs):
         searches.append(args[1])
         return bfs(*args, **kwargs)
 
-    monkeypatch.setattr(exact, "_ball_table", watched_table)
+    monkeypatch.setattr(exact, "_ball_table", watched("table", table))
+    monkeypatch.setattr(exact, "_ball_lists", watched("lists", lists))
     monkeypatch.setattr(exact, "_bfs", watched_bfs)
     # a 12-variable gadget: 24 sources, the first of which reaches about
     # 50 of its 603 vertices in 23 hops, as thin as a path
@@ -594,19 +595,23 @@ def test_schedule_sources_gives_up_the_bit_table_on_deep_thin_searches(monkeypat
     clauses = tuple(tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 13), 3))
                     for _ in range(51))
     cases = [
-        (build_sat_instance(Cnf3(12, clauses)).inst, 24, True, 0),
-        (SchedulingInstance(path_graph(1024), (100, 500, 900), 1), 256, False, 3),
-        (SchedulingInstance(grid_graph(2, 512), (100, 500, 900), 1), 256, False, 3),
-        (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 3, True, 0),
-        (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 32, True, 0),
-        (SchedulingInstance(grid_graph(40, 40), (0, 39, 1560, 1599), 1), 40, False, 4),
+        (build_sat_instance(Cnf3(12, clauses)).inst, 24),
+        (SchedulingInstance(path_graph(1024), (100, 500, 900), 1), 256),
+        (SchedulingInstance(grid_graph(2, 512), (100, 500, 900), 1), 256),
+        (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 3),
+        (SchedulingInstance(grid_graph(32, 32), (5, 500, 900), 1), 32),
+        (SchedulingInstance(grid_graph(40, 40), (0, 39, 1560, 1599), 1), 40),
+        (SchedulingInstance(path_graph(2000), (100, 1000, 1900), 1), 256),
     ]
-    for inst, rounds, kept, listed in cases:
-        tables.clear()
+    for inst, rounds in cases:
+        rows.clear()
         searches.clear()
         schedule_sources(inst, rounds)
-        assert [t is not None for t in tables] == [kept]
-        assert len(searches) == listed
+        builder = "table" if inst.graph.n <= 1600 else "lists"
+        assert list(rows) == [builder]
+        assert len(rows[builder]) == len(inst.sources)
+        assert len(searches) == (builder == "lists") * len(inst.sources)
+        assert max(map(len, rows[builder])) <= len(inst.sources) + 1
 
 
 def test_exact_raises_on_a_witness_the_round_engine_rejects(monkeypatch):

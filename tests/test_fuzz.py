@@ -10,8 +10,8 @@ and nothing allocates near ``MAX_VERTICES``.  Last, each numeric flag is
 set to 10**12 on the same small inputs, the scheduler's round budget also
 on a 2000-vertex path (past ``exact._BIT_VERTICES``, so its BFS lists
 path runs) and on a 1600-vertex one (``schedule-max-rounds-bits``: at
-``exact._BIT_VERTICES``, so the bit table starts and must give itself
-up), an 11-byte graph claims 3 * 10**7 vertices, and ``gen-sat-huge-cnf``
+``exact._BIT_VERTICES``, so the bit table runs to the path's end), an
+11-byte graph claims 3 * 10**7 vertices, and ``gen-sat-huge-cnf``
 reads a one-clause formula over 5001 variables, whose gadget of 100,030,003
 vertices must be refused (exit 2) before any vertex id is made; each runs in
 a child process under a cap on its address space.
